@@ -27,6 +27,10 @@ gated by ``check_perf.py``.  Every optimized compile is proven against its
 unoptimized routing by :func:`repro.compiler.verify_consolidation` (the
 block-local equivalence check, valid at any width); on devices of at most
 10 qubits the dense unitary harness in ``tests/equivalence.py`` runs too.
+The optimizer block also times each cell's first compile in a fresh
+interpreter, with and without ``optimize=True`` (the target is built first
+and not timed), plus the optimized compile once warm;
+``check_perf.py`` gates the suite-total fresh-process ratio.
 
 The file is named ``bench_*`` (not ``test_*``) on purpose: pytest does not
 collect it, CI runs it as a script and uploads the JSON artifact.
@@ -84,6 +88,58 @@ def _dense_harness():
     from tests.equivalence import assert_compiled_equivalent
 
     return assert_compiled_equivalent
+
+#: Compiles one cell in a new interpreter: builds the target untimed and
+#: collects its garbage, then prints the wall seconds of the first compile
+#: and of a second, warm one.
+_FRESH_COMPILE = """
+import gc, json, sys, time
+from repro.compiler import build_target, transpile
+from repro.device import Device, DeviceParameters
+from repro.fleet import TopologySpec, build_circuit
+topology, seed, strategy, name, mapping, optimize = json.loads(sys.argv[1])
+graph = TopologySpec.parse(topology).graph()
+device = Device(graph=graph, params=DeviceParameters(seed=seed))
+build_target(device, strategy).cost_model()
+circuit = build_circuit(name)
+gc.collect()
+times = []
+for _ in range(2):
+    start = time.perf_counter()
+    transpile(circuit, device, strategy=strategy, mapping=mapping, seed=17,
+              optimize=optimize)
+    times.append(time.perf_counter() - start)
+print(json.dumps(times))
+"""
+
+
+#: New interpreters per fresh-process measurement; the minimum of each
+#: timing is kept, as for :data:`ROUTING_REPS`.
+FRESH_REPS = 2
+
+
+def _fresh_compile_s(args, name: str, mapping: str, optimize: bool) -> list[float]:
+    """``[first, warm]`` compile seconds of one cell in new interpreters."""
+    import os
+    import subprocess
+    import sys
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    cell = [args.topology, args.seed, args.strategy, name, mapping, optimize]
+    runs = [
+        json.loads(
+            subprocess.run(
+                [sys.executable, "-c", _FRESH_COMPILE, json.dumps(cell)],
+                capture_output=True,
+                text=True,
+                check=True,
+                env=dict(os.environ, PYTHONPATH=src),
+            ).stdout
+        )
+        for _ in range(FRESH_REPS)
+    ]
+    return [min(times) for times in zip(*runs)]
+
 
 #: Repetitions per routing-only measurement; the best (minimum) wall time is
 #: recorded -- routing is deterministic, so the minimum is the least-noisy
@@ -171,6 +227,7 @@ def bench(args: argparse.Namespace) -> dict:
     depth_reductions: list[float] = []
     duration_reductions: list[float] = []
     depth_ratios: list[float] = []
+    fresh_s = {"base": 0.0, "optimized": 0.0, "optimized_warm": 0.0}
     dense_checked = 0
     for name in args.circuits:
         circuit = build_circuit(name)
@@ -211,6 +268,11 @@ def bench(args: argparse.Namespace) -> dict:
                 else 0.0
             )
             ratio = float(optimized.depth_vs_lower_bound)
+            base_first, _ = _fresh_compile_s(args, name, mapping, optimize=False)
+            first, warm = _fresh_compile_s(args, name, mapping, optimize=True)
+            fresh_s["base"] += base_first
+            fresh_s["optimized"] += first
+            fresh_s["optimized_warm"] += warm
             depth_reductions.append(depth_reduction)
             duration_reductions.append(duration_reduction)
             depth_ratios.append(ratio)
@@ -239,6 +301,9 @@ def bench(args: argparse.Namespace) -> dict:
                     "blocks_consolidated": optimized.optimization.blocks_consolidated,
                     "blocks_dropped": optimized.optimization.blocks_dropped,
                     "verified": "dense+blocks" if dense else "blocks",
+                    "fresh_base_compile_s": base_first,
+                    "fresh_compile_s": first,
+                    "warm_compile_s": warm,
                 },
             }
         row = {"circuit": name, "mappings": per_mapping}
@@ -283,6 +348,12 @@ def bench(args: argparse.Namespace) -> dict:
             },
             "dense_checked": dense_checked,
             "all_verified": True,
+            "fresh_compile_s": {
+                **fresh_s,
+                "ratio": fresh_s["optimized"] / fresh_s["base"]
+                if fresh_s["base"]
+                else float("inf"),
+            },
         },
         "rows": rows,
     }
@@ -360,6 +431,13 @@ def main(argv: list[str] | None = None) -> dict:
         f"depth/lower-bound p50 {ratios['p50']:.3f} p90 {ratios['p90']:.3f} "
         f"max {ratios['max']:.3f} "
         f"(all verified, {optimizer['dense_checked']} dense-checked)"
+    )
+    fresh = optimizer["fresh_compile_s"]
+    print(
+        f"Fresh-process first compile, suite total: optimize=False "
+        f"{fresh['base'] * 1000:.0f}ms, optimize=True "
+        f"{fresh['optimized'] * 1000:.0f}ms ({fresh['ratio']:.2f}x), "
+        f"optimize=True warm {fresh['optimized_warm'] * 1000:.0f}ms"
     )
     print(f"Wrote {path}")
     return results

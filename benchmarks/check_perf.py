@@ -35,7 +35,10 @@ Two benchmark kinds are understood, keyed by the files' ``benchmark`` field:
   (``REPRO_OPTIMIZER_DEPTH_FLOOR`` overrides), every optimized cell must
   have passed the equivalence harness during the bench run, and no cell may
   lose depth or fidelity to the optimizer -- all read from the current run
-  alone, since optimized and unoptimized compiles share one process.
+  alone, since optimized and unoptimized compiles share one process.  The
+  same holds for the cold optimizer gate: summed over the suite, a cell's
+  first ``optimize=True`` compile in a fresh process may take at most
+  :data:`OPTIMIZER_FRESH_RATIO` times its first ``optimize=False`` one.
 * ``cluster`` (``bench_cluster.py``) -- warm cluster vs single-process
   throughput plus the cluster's *functional* invariants: the overload phase
   must shed (with zero errors), the warm-store restart must serve from disk
@@ -118,6 +121,11 @@ ROUTING_SPEEDUP_FLOOR = 3.0
 #: cut mean 2Q basis-layer depth across the benchmark suite by at least this
 #: fraction.  Deterministic given the seeds, like the other routing metrics.
 OPTIMIZER_DEPTH_FLOOR = 0.05
+
+#: The cold optimizer criterion: a fresh process's first optimized compile
+#: may cost at most this many times its first unoptimized one (suite
+#: totals, both timed on the same machine by the same bench run).
+OPTIMIZER_FRESH_RATIO = 2.0
 
 #: Default relative regression tolerance (15%).
 DEFAULT_TOLERANCE = 0.15
@@ -372,6 +380,16 @@ def routing_checks(baseline: dict, current: dict, tolerance: float) -> list[Chec
             baseline=1.0,
             current=1.0 if optimizer.get("all_verified", False) else 0.0,
             higher_is_better=True,
+            tolerance=0.0,
+        )
+    )
+    fresh = optimizer.get("fresh_compile_s", {})
+    checks.append(
+        Check(
+            label="optimizer: fresh optimized <= ratio x fresh base",
+            baseline=OPTIMIZER_FRESH_RATIO,
+            current=float(fresh.get("ratio", float("inf"))),
+            higher_is_better=False,
             tolerance=0.0,
         )
     )

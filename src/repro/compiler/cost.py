@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.synthesis.depth import TwoLayerOracle, minimum_layers
+from repro.synthesis.depth import minimum_layers
 from repro.synthesis.library import layered_duration
 from repro.weyl.cartan import canonicalize_coordinates
 
@@ -48,17 +48,9 @@ Coords = tuple[float, float, float]
 # Shared analytic layer-count cache.
 # --------------------------------------------------------------------------
 
-#: Process-wide oracle shared by every layer-count query; its internal memo
-#: makes repeated feasibility checks (the expensive part) free, and its own
-#: ``max_entries`` bound keeps long fleet sweeps from growing it forever.
-_SHARED_ORACLE = TwoLayerOracle()
-
-
 @lru_cache(maxsize=16384)
 def _minimum_layers_memo(target: Coords, basis: Coords, max_layers: int) -> int:
-    return minimum_layers(
-        target, basis, max_layers=max_layers, oracle=_SHARED_ORACLE
-    )
+    return minimum_layers(target, basis, max_layers=max_layers)
 
 
 def cached_minimum_layers(
@@ -287,7 +279,6 @@ class CostModel:
             oracle = CoverageSetOracle(
                 basis=cost.basis_coordinates,
                 max_layers=max_layers,
-                decimals=decimals,
                 layers_fn=lambda target, basis, layers: cached_minimum_layers(
                     target, basis, max_layers=layers, decimals=decimals
                 ),

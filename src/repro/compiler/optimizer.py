@@ -298,7 +298,6 @@ def _edge_oracle(
     return CoverageSetOracle(
         basis=selection.coordinates,
         max_layers=options.max_layers,
-        decimals=options.cache_decimals,
         layers_fn=lambda target, basis, max_layers: cached_minimum_layers(
             target, basis, max_layers=max_layers, decimals=options.cache_decimals
         ),
@@ -331,6 +330,10 @@ def consolidate_blocks(
     replace: dict[int, Gate] = {}
     records: list[BlockRecord] = []
     oracles: dict[Edge, CoverageSetOracle] = {}
+    #: Unitary and Weyl class (``None`` for the identity) per gate pattern,
+    #: i.e. the block's gates with qubits numbered along the edge: QFT
+    #: ladders and adder cells repeat a few patterns on many edges.
+    classes: dict[tuple, tuple[np.ndarray, Coords | None]] = {}
 
     for block in blocks:
         gates = [gate_of[index] for index in block.indices]
@@ -344,8 +347,20 @@ def consolidate_blocks(
             for g in gates
             if g.is_two_qubit
         )
-        unitary = block_unitary(gates, block.edge)
-        if phase_distance(unitary, _I4) <= IDENTITY_ATOL:
+        pattern = tuple(
+            (g.name, g.params, tuple(block.edge.index(q) for q in g.qubits))
+            for g in gates
+        )
+        if pattern not in classes:
+            unitary = block_unitary(gates, block.edge)
+            classes[pattern] = (
+                unitary,
+                None
+                if phase_distance(unitary, _I4) <= IDENTITY_ATOL
+                else canonicalize_coordinates(cartan_coordinates(unitary)),
+            )
+        unitary, coordinates = classes[pattern]
+        if coordinates is None:
             drop.update(block.indices)
             records.append(
                 BlockRecord(
@@ -362,7 +377,6 @@ def consolidate_blocks(
                 )
             )
             continue
-        coordinates = canonicalize_coordinates(cartan_coordinates(unitary))
         lower_bound = oracle.minimum_layers(coordinates)
         if block.two_qubit_count >= 2 and lower_bound <= layers_before:
             replacement = Gate.unitary2q(unitary, block.edge)

@@ -16,9 +16,11 @@ import numpy as np
 
 from repro.core.trajectory import CartanTrajectory
 from repro.synthesis.depth import (
+    TwoLayerOracle,
     can_synthesize_cnot_in_2_layers,
     can_synthesize_swap_in_3_layers,
     cnot2_feasible_mask,
+    minimum_layers,
     swap3_feasible_mask,
 )
 from repro.weyl.cartan import canonicalize_coordinates
@@ -137,7 +139,7 @@ class SelectionStrategy:
         if trajectory.gate_model is not None:
             unitary = trajectory.unitary_at(duration)
         swap_layers = _swap_layer_count(coords)
-        cnot_layers = 2 if can_synthesize_cnot_in_2_layers(coords) else 3
+        cnot_layers = _cnot_layer_count(coords)
         return BasisGateSelection(
             strategy=self.name,
             duration=float(duration),
@@ -217,6 +219,15 @@ def _swap_layer_count(coords: Coords) -> int:
     if can_synthesize_swap_in_2_layers(coords):
         return 2
     if can_synthesize_swap_in_3_layers(coords):
+        return 3
+    return 4
+
+
+def _cnot_layer_count(coords: Coords) -> int:
+    """Layer count for CNOT from a basis gate at ``coords`` (2, 3 or 4)."""
+    if can_synthesize_cnot_in_2_layers(coords):
+        return 2
+    if TwoLayerOracle().can_reach_in_3(WEYL_POINTS["CNOT"], coords):
         return 3
     return 4
 
@@ -327,26 +338,22 @@ class CompositeCriterionStrategy(SelectionStrategy):
 
     ``targets`` maps a target name to ``(coordinates, max_layers)``; the
     strategy selects the fastest gate on the trajectory able to synthesize
-    every target within its budget (using the exact region tests for SWAP and
-    CNOT and the numerical oracle otherwise).  This realises the paper's
-    "simultaneous prioritisation of multiple target gates".
+    every target within its budget.  Budgets up to three layers are decided
+    exactly (:func:`~repro.synthesis.depth.minimum_layers`); no test exists
+    beyond three, so larger budgets are assumed to suffice.  This realises
+    the paper's "simultaneous prioritisation of multiple target gates".
     """
 
     targets: dict[str, tuple[Coords, int]] = field(default_factory=dict)
     name: str = "composite"
 
     def predicate(self, coords: Coords) -> bool:
-        from repro.synthesis.depth import minimum_layers
-
-        for target_coords, max_layers in self.targets.values():
-            target = canonicalize_coordinates(target_coords)
-            if target == WEYL_POINTS["SWAP"]:
-                feasible = _swap_layer_count(coords) <= max_layers
-            elif target == WEYL_POINTS["CNOT"] and max_layers == 2:
-                feasible = can_synthesize_cnot_in_2_layers(coords)
-            else:
-                feasible = minimum_layers(target, coords, max_layers=max_layers) <= max_layers
-            if not feasible:
+        for target_coords, budget in self.targets.values():
+            # One layer past the budget keeps "needs more" distinct from
+            # "fits exactly" in the capped answer.
+            if budget <= 3 and minimum_layers(
+                target_coords, coords, max_layers=budget + 1
+            ) > budget:
                 return False
         return True
 

@@ -47,8 +47,10 @@ from repro.fleet.devices import device_fingerprint
 #: entries are treated as misses and rebuilt on first use).  v3 added
 #: ``basis_coordinates`` to every cost-model row (the block-consolidation
 #: optimizer's coverage-set oracle needs them, so rows without them must be
-#: rebuilt rather than served).
-CACHE_FORMAT_VERSION = 3
+#: rebuilt rather than served).  v4: selections carry CNOT layer counts from
+#: the exact three-layer test (4 where three layers cannot make CNOT), so
+#: rows that assumed 3 must be rebuilt.
+CACHE_FORMAT_VERSION = 4
 
 
 def target_cache_key(device, strategy: str, fingerprint: str | None = None) -> str:

@@ -5,7 +5,7 @@ Implements Sections V and VII of the paper:
 * :mod:`repro.synthesis.depth` -- analytic / geometric reasoning about how
   many layers of a 2Q basis gate are needed to synthesize a target gate
   (mirror-gate relation for SWAP-in-2, tetrahedral regions for SWAP-in-3 and
-  CNOT-in-2, a numerical two-layer feasibility oracle standing in for the
+  CNOT-in-2, and an exact two- and three-layer test for any target from the
   monodromy-polytope inequalities of Peterson et al.).
 * :mod:`repro.synthesis.numerical` -- NuOp-style numerical search for the 1Q
   local gates of an ``n``-layer decomposition, accelerated by the analytic

@@ -12,24 +12,27 @@ candidate basis gate ``G`` with Cartan coordinates ``g``:
    (Fig. 4(d) and 4(e) of the paper); membership is a point-in-tetrahedron
    test.
 
-For arbitrary targets we provide :class:`TwoLayerOracle`, a numerical
-feasibility check that stands in for the monodromy-polytope inequalities of
-Peterson et al. (Theorem 5.1 in the paper): ``A`` is reachable from basis
-gates ``B, C`` in two layers iff there exist single-qubit gates ``u, v`` with
-``cartan(B (u x v) C) = cartan(A)``; we search over ``u, v`` directly.
+For arbitrary targets, :class:`TwoLayerOracle` decides two- and three-layer
+reachability exactly, with the monodromy-polytope inequalities of Peterson,
+Crooks & Smith (Theorem 5.1 in the paper): a gate class maps to an alcove
+point of SU(4), and ``A`` is reachable from basis gates ``B, C`` in two layers
+iff the points of ``B``, ``C`` and ``A^-1`` satisfy the 72 linear
+inequalities of :data:`HORN_INEQUALITIES`.  Three layers add one
+intermediate class, found by a vertex test over a small polytope.
+:func:`minimum_layers` combines these tests into a depth.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
-from repro.gates.single_qubit import su2_from_params
-from repro.gates.two_qubit import canonical_gate
 from repro.weyl.cartan import (
+    canonical_points_close,
     canonicalize_coordinates,
     canonicalize_coordinates_batch,
     coordinates_close,
@@ -126,6 +129,24 @@ CNOT2_ENTRY_FACES: tuple[tuple[Coords, Coords, Coords], ...] = (
 )
 
 
+def _shape_key(vertices: Sequence[Coords]) -> tuple:
+    return tuple(tuple(float(c) for c in v) for v in vertices)
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Mark cached arrays read-only: every caller shares them."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=64)
+def _tetrahedron_frame(vertices: tuple) -> tuple[np.ndarray, ...]:
+    """Origin and edge matrix of a tetrahedron (its barycentric frame)."""
+    v = np.asarray(vertices, dtype=float)
+    return _frozen(v[0].copy(), (v[1:] - v[0]).T)
+
+
 def _barycentric_coordinates(
     point: Coords, vertices: Sequence[Coords]
 ) -> np.ndarray | None:
@@ -133,15 +154,12 @@ def _barycentric_coordinates(
 
     Returns ``None`` when the tetrahedron is degenerate.
     """
-    v = np.asarray(vertices, dtype=float)
-    p = np.asarray(point, dtype=float)
-    mat = (v[1:] - v[0]).T
+    origin, mat = _tetrahedron_frame(_shape_key(vertices))
     try:
-        local = np.linalg.solve(mat, p - v[0])
+        local = np.linalg.solve(mat, np.asarray(point, dtype=float) - origin)
     except np.linalg.LinAlgError:
         return None
-    bary = np.concatenate([[1.0 - local.sum()], local])
-    return bary
+    return np.concatenate([[1.0 - local.sum()], local])
 
 
 def point_in_tetrahedron(
@@ -159,24 +177,33 @@ def point_in_tetrahedron(
     return bool(np.all(bary > atol))
 
 
+@lru_cache(maxsize=64)
+def _triangle_frame(triangle: tuple) -> tuple | None:
+    """A triangle's corner, unit normal, edges and their Gram entries, or
+    ``None`` when it is degenerate."""
+    a, b, c = (np.asarray(v, dtype=float) for v in triangle)
+    normal = np.cross(b - a, c - a)
+    norm = np.linalg.norm(normal)
+    if norm < 1e-12:
+        return None
+    v0, v1 = b - a, c - a
+    d00, d01, d11 = np.dot(v0, v0), np.dot(v0, v1), np.dot(v1, v1)
+    return (*_frozen(a, normal / norm, v0, v1), d00, d01, d11, d00 * d11 - d01 * d01)
+
+
 def point_on_triangle(
     point: Coords, triangle: Sequence[Coords], atol: float = 1e-9
 ) -> bool:
     """True if ``point`` lies on (within ``atol`` of) a triangle in 3D."""
-    a, b, c = (np.asarray(v, dtype=float) for v in triangle)
-    p = np.asarray(point, dtype=float)
-    normal = np.cross(b - a, c - a)
-    norm = np.linalg.norm(normal)
-    if norm < 1e-12:
+    frame = _triangle_frame(_shape_key(triangle))
+    if frame is None:
         return False
-    normal = normal / norm
-    if abs(np.dot(p - a, normal)) > max(atol, 1e-9):
+    a, normal, v0, v1, d00, d01, d11, denom = frame
+    v2 = np.asarray(point, dtype=float) - a
+    if abs(np.dot(v2, normal)) > max(atol, 1e-9):
         return False
     # 2D barycentric test in the plane of the triangle.
-    v0, v1, v2 = b - a, c - a, p - a
-    d00, d01, d11 = np.dot(v0, v0), np.dot(v0, v1), np.dot(v1, v1)
     d20, d21 = np.dot(v2, v0), np.dot(v2, v1)
-    denom = d00 * d11 - d01 * d01
     if abs(denom) < 1e-15:
         return False
     v = (d11 * d20 - d01 * d21) / denom
@@ -341,153 +368,309 @@ def can_synthesize_cnot_in_2_layers(coords: Coords, atol: float = 1e-9) -> bool:
 
 
 # --------------------------------------------------------------------------
-# Numerical two-layer feasibility oracle (stand-in for Theorem 5.1).
+# Exact reachability: the monodromy polytope (Theorem 5.1).
 # --------------------------------------------------------------------------
 
+#: The multiplicative Horn inequalities of SU(4) (Agnihotri & Woodward 1998;
+#: Belkale 2001), on which Peterson, Crooks & Smith (Quantum 4, 247, 2020)
+#: build the monodromy polytope.  A row ``(I, J, K, d)`` reads
+#: ``sum(a[i] for i in I) + sum(b[j] for j in J) + sum(c[k] for k in K) <= d``
+#: with 1-based indices into alcove points: three conjugacy classes of SU(4)
+#: with alcove points ``a, b, c`` hold elements whose product is the
+#: identity iff every row holds.  The rows are the triples of ``r``-subsets
+#: of {1, 2, 3, 4} (r = 1, 2, 3) whose Gromov-Witten invariant
+#: ``<sigma_I, sigma_J, sigma_K>_d`` on Gr(r, 4) is 1, with ``sigma_I`` the
+#: Schubert class of the partition ``lambda_a = 4 - r + a - i_a``; the
+#: quantum products come from the Bertram-Ciocan-Fontanine-Fulton rim-hook
+#: rule.  ``tests/test_monodromy.py`` regenerates them.
+HORN_INEQUALITIES: tuple[
+    tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int], ...
+] = (
+    ((1,), (1,), (3,), 1),
+    ((1,), (2,), (2,), 1),
+    ((1,), (3,), (1,), 1),
+    ((1,), (4,), (4,), 0),
+    ((2,), (1,), (2,), 1),
+    ((2,), (2,), (1,), 1),
+    ((2,), (3,), (4,), 0),
+    ((2,), (4,), (3,), 0),
+    ((3,), (1,), (1,), 1),
+    ((3,), (2,), (4,), 0),
+    ((3,), (3,), (3,), 0),
+    ((3,), (4,), (2,), 0),
+    ((4,), (1,), (4,), 0),
+    ((4,), (2,), (3,), 0),
+    ((4,), (3,), (2,), 0),
+    ((4,), (4,), (1,), 0),
+    ((1, 2), (1, 2), (1, 2), 2),
+    ((1, 2), (1, 3), (2, 4), 1),
+    ((1, 2), (1, 4), (2, 3), 1),
+    ((1, 2), (2, 3), (1, 4), 1),
+    ((1, 2), (2, 4), (1, 3), 1),
+    ((1, 2), (3, 4), (3, 4), 0),
+    ((1, 3), (1, 2), (2, 4), 1),
+    ((1, 3), (1, 3), (1, 4), 1),
+    ((1, 3), (1, 3), (2, 3), 1),
+    ((1, 3), (1, 4), (1, 3), 1),
+    ((1, 3), (2, 3), (1, 3), 1),
+    ((1, 3), (2, 4), (1, 2), 1),
+    ((1, 3), (2, 4), (3, 4), 0),
+    ((1, 3), (3, 4), (2, 4), 0),
+    ((1, 4), (1, 2), (2, 3), 1),
+    ((1, 4), (1, 3), (1, 3), 1),
+    ((1, 4), (1, 4), (3, 4), 0),
+    ((1, 4), (2, 3), (1, 2), 1),
+    ((1, 4), (2, 4), (2, 4), 0),
+    ((1, 4), (3, 4), (1, 4), 0),
+    ((2, 3), (1, 2), (1, 4), 1),
+    ((2, 3), (1, 3), (1, 3), 1),
+    ((2, 3), (1, 4), (1, 2), 1),
+    ((2, 3), (2, 3), (3, 4), 0),
+    ((2, 3), (2, 4), (2, 4), 0),
+    ((2, 3), (3, 4), (2, 3), 0),
+    ((2, 4), (1, 2), (1, 3), 1),
+    ((2, 4), (1, 3), (1, 2), 1),
+    ((2, 4), (1, 3), (3, 4), 0),
+    ((2, 4), (1, 4), (2, 4), 0),
+    ((2, 4), (2, 3), (2, 4), 0),
+    ((2, 4), (2, 4), (1, 4), 0),
+    ((2, 4), (2, 4), (2, 3), 0),
+    ((2, 4), (3, 4), (1, 3), 0),
+    ((3, 4), (1, 2), (3, 4), 0),
+    ((3, 4), (1, 3), (2, 4), 0),
+    ((3, 4), (1, 4), (1, 4), 0),
+    ((3, 4), (2, 3), (2, 3), 0),
+    ((3, 4), (2, 4), (1, 3), 0),
+    ((3, 4), (3, 4), (1, 2), 0),
+    ((1, 2, 3), (1, 2, 3), (1, 3, 4), 1),
+    ((1, 2, 3), (1, 2, 4), (1, 2, 4), 1),
+    ((1, 2, 3), (1, 3, 4), (1, 2, 3), 1),
+    ((1, 2, 3), (2, 3, 4), (2, 3, 4), 0),
+    ((1, 2, 4), (1, 2, 3), (1, 2, 4), 1),
+    ((1, 2, 4), (1, 2, 4), (1, 2, 3), 1),
+    ((1, 2, 4), (1, 3, 4), (2, 3, 4), 0),
+    ((1, 2, 4), (2, 3, 4), (1, 3, 4), 0),
+    ((1, 3, 4), (1, 2, 3), (1, 2, 3), 1),
+    ((1, 3, 4), (1, 2, 4), (2, 3, 4), 0),
+    ((1, 3, 4), (1, 3, 4), (1, 3, 4), 0),
+    ((1, 3, 4), (2, 3, 4), (1, 2, 4), 0),
+    ((2, 3, 4), (1, 2, 3), (2, 3, 4), 0),
+    ((2, 3, 4), (1, 2, 4), (1, 3, 4), 0),
+    ((2, 3, 4), (1, 3, 4), (1, 2, 4), 0),
+    ((2, 3, 4), (2, 3, 4), (1, 2, 3), 0),
+)
 
-@dataclass
-class TwoLayerOracle:
-    """Numerical oracle deciding 2-layer (and 3-layer) reachability.
 
-    ``A`` is synthesizable from ``B`` and ``C`` in two layers with 1Q gates
-    iff there exist ``u, v in SU(2)`` such that ``B (u x v) C`` is locally
-    equivalent to ``A``; the outer 1Q layers are free, so only the middle
-    local layer matters.  We search over the six Euler angles of ``(u, v)``.
+def _horn_arrays() -> tuple[np.ndarray, np.ndarray]:
+    """The rows as a ``(rows, factor, 4)`` 0/1 array and their bounds."""
+    matrix = np.zeros((len(HORN_INEQUALITIES), 3, 4))
+    for row, (*subsets, _) in enumerate(HORN_INEQUALITIES):
+        for factor, subset in enumerate(subsets):
+            matrix[row, factor, [i - 1 for i in subset]] = 1.0
+    bound = np.array([row[3] for row in HORN_INEQUALITIES], dtype=float)
+    return matrix, bound
 
-    Results are cached on rounded coordinates so repeated queries (e.g. while
-    scanning a trajectory) are cheap.
+
+_HORN, _HORN_BOUND = _horn_arrays()
+
+#: A row counts as satisfied within this slack.
+_SLACK = 1e-9
+
+
+def _alcove(phases: Iterable[float]) -> list[float]:
+    """Alcove point of the SU(4) class with eigenvalues ``exp(2 pi i phases)``.
+
+    The phases are reduced mod 1 and sorted descending, then 1 is subtracted
+    from the largest until they sum to 0, which lands in the alcove
+    ``a1 >= a2 >= a3 >= a4 >= a1 - 1``.
     """
+    values = sorted((float(p) % 1.0 for p in phases), reverse=True)
+    shift = round(sum(values))
+    return sorted([v - 1.0 for v in values[:shift]] + values[shift:], reverse=True)
 
-    tolerance: float = 1e-6
-    restarts: int = 6
-    seed: int = 11
-    #: Memo growth bound: a long-lived shared oracle (e.g. the process-wide
-    #: one behind ``repro.compiler.cost.cached_minimum_layers``) sees fresh
-    #: coordinates per device draw per edge; past this many entries the memo
-    #: is dropped wholesale rather than growing for the life of the process.
-    max_entries: int = 65536
-    _cache: dict = field(default_factory=dict, repr=False)
-    #: Coarser-keyed warm starts: the best Euler angles found for a nearby
-    #: (target, layers) query seed the first optimizer attempt of the next
-    #: one.  Purely an acceleration -- it adds an attempt, so it can only
-    #: find feasibility earlier, never miss one the cold search would find.
-    _warm: dict = field(default_factory=dict, repr=False)
 
-    def _key(self, *coord_sets: Coords) -> tuple:
-        return tuple(tuple(round(c, 6) for c in coords) for coords in coord_sets)
+def alcove_coordinates(coords: Coords) -> np.ndarray:
+    """Alcove point of ``gamma = m^T m`` for a gate with Cartan ``coords``.
 
-    def _warm_key(self, tag: str, *coord_sets: Coords) -> tuple:
-        return (tag,) + tuple(
-            tuple(round(c, 2) for c in coords) for coords in coord_sets
-        )
+    ``m`` is the gate in the magic basis.  In the convention of
+    :mod:`repro.weyl.cartan`, gamma has eigenvalues ``exp(-2 pi i s_k)`` with
+    ``s = ((x+y-z)/2, (x-y+z)/2, (-x+y+z)/2, -(x+y+z)/2)``.  A local class
+    fixes gamma only up to sign; :func:`_inverses` covers both.
+    """
+    x, y, z = coords
+    s = ((x + y - z) / 2, (x - y + z) / 2, (-x + y + z) / 2, -(x + y + z) / 2)
+    return np.array(_alcove(-v for v in s))
 
-    def _remember(self, key: tuple, result: bool) -> bool:
-        if len(self._cache) >= self.max_entries:
-            self._cache.clear()
-        self._cache[key] = result
-        return result
+
+def _inverses(target: np.ndarray) -> np.ndarray:
+    """Alcove points of ``T^-1`` and ``-T^-1``, as the columns of a 4x2 array.
+
+    Negating adds 1/2 to every phase; inverting maps ``a`` to
+    ``(-a4, -a3, -a2, -a1)``.
+    """
+    negated = _alcove(v + 0.5 for v in target)
+    return -np.array([target, negated]).T[::-1]
+
+
+def _products_reach(first: np.ndarray, second: np.ndarray, target: np.ndarray) -> bool:
+    """True iff classes ``first`` and ``second`` hold a product in ``target``.
+
+    A gate ``B k C`` (``k`` local) has gamma conjugate to
+    ``(O^T gamma_B O) gamma_C`` with ``O`` real orthogonal, and Peterson et
+    al. show that these products cover the same classes as the unitary
+    ones; the target's sign is free.
+    """
+    fixed = _HORN[:, 0] @ first + _HORN[:, 1] @ second
+    sums = fixed[:, None] + _HORN[:, 2] @ _inverses(target)
+    return bool((sums <= _HORN_BOUND[:, None] + _SLACK).all(axis=0).any())
+
+
+#: The alcove walls ``x2 - x1 <= 0``, ``x3 - x2 <= 0``, ``x4 - x3 <= 0`` and
+#: ``x1 - x4 <= 1``.
+_WALLS = np.array(
+    [
+        [-1.0, 1.0, 0.0, 0.0],
+        [0.0, -1.0, 1.0, 0.0],
+        [0.0, 0.0, -1.0, 1.0],
+        [1.0, 0.0, 0.0, -1.0],
+    ]
+)
+_WALL_BOUND = np.array([0.0, 0.0, 0.0, 1.0])
+
+
+def _middle_geometry() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Half-space directions and the vertex map of the three-layer test.
+
+    The middle class ``x`` of a three-layer product enters the rows as the
+    product of the first two layers (through ``x^-1``, whose alcove point is
+    linear in ``x``), as a factor of the last product, and through the
+    alcove walls.  On ``x4 = -(x1 + x2 + x3)`` those normals take 18
+    distinct integer directions.  The 584 independent triples of them each
+    fix one candidate vertex; ``vertex_map`` holds their 3x3 inverses, so
+    ``bounds @ vertex_map`` lists every vertex at once.
+    """
+    normals = np.vstack([-_HORN[:, 2, ::-1], _HORN[:, 0], _WALLS])
+    reduced = normals[:, :3] - normals[:, 3:]
+    directions, direction_of = np.unique(reduced, axis=0, return_inverse=True)
+    direction_of = direction_of.reshape(-1)
+    order = np.argsort(direction_of, kind="stable")
+    starts = np.searchsorted(direction_of[order], np.arange(len(directions)))
+    triples = np.array(list(combinations(range(len(directions)), 3)))
+    planes = directions[triples]
+    independent = np.abs(np.linalg.det(planes)) > 0.5  # integer determinants
+    triples, inverses = triples[independent], np.linalg.inv(planes[independent])
+    vertex_map = np.zeros((len(directions), len(triples), 3))
+    for column in range(3):
+        vertex_map[triples[:, column], np.arange(len(triples))] = inverses[:, :, column]
+    return directions, order, starts, vertex_map.reshape(len(directions), -1)
+
+
+_DIRECTIONS, _DIRECTION_ORDER, _DIRECTION_STARTS, _VERTEX_MAP = _middle_geometry()
+
+
+def _middle_class_exists(basis: np.ndarray, target: np.ndarray) -> bool:
+    """True iff some ``x`` has ``x in R2(basis, basis)`` and ``target in
+    R2(x, basis)``.
+
+    Both conditions are half-spaces in ``x``, so the candidates form a
+    bounded polytope, which is non-empty iff one of its vertices is
+    feasible.  Each direction keeps its tightest bound; both signs of the
+    target run side by side.
+    """
+    rows = len(HORN_INEQUALITIES)
+    limits = np.empty((2 * rows + len(_WALL_BOUND), 2))
+    limits[:rows] = (_HORN_BOUND - _HORN[:, 0] @ basis - _HORN[:, 1] @ basis)[:, None]
+    limits[rows : 2 * rows] = (_HORN_BOUND - _HORN[:, 1] @ basis)[:, None]
+    limits[rows : 2 * rows] -= _HORN[:, 2] @ _inverses(target)
+    limits[2 * rows :] = _WALL_BOUND[:, None]
+    bounds = np.minimum.reduceat(limits[_DIRECTION_ORDER], _DIRECTION_STARTS).T
+    vertices = (bounds @ _VERTEX_MAP).reshape(-1, 3)
+    values = (vertices @ _DIRECTIONS.T).reshape(2, -1, len(_DIRECTIONS))
+    return bool((values <= bounds[:, None, :] + _SLACK).all(axis=2).any())
+
+
+@dataclass(frozen=True)
+class TwoLayerOracle:
+    """Exact two- and three-layer reachability (Theorem 5.1).
+
+    ``A`` is reachable from basis gates ``B, C`` in two layers (free
+    single-qubit gates around and between them) iff the alcove points of
+    ``B``, ``C`` and ``A^-1`` satisfy :data:`HORN_INEQUALITIES`, for either
+    sign of ``A``.  Three layers of ``B`` reach ``A`` iff some class ``x``
+    is reachable in two layers of ``B`` and ``A`` is reachable from ``x``
+    and ``B``.  Every answer is a pure function of its coordinates.
+    """
 
     def can_reach_in_2(
         self, target: Coords, basis: Coords, second_basis: Coords | None = None
     ) -> bool:
         """Return True if ``target`` is reachable in two layers of the basis."""
-        second_basis = basis if second_basis is None else second_basis
-        target = canonicalize_coordinates(target)
-        basis = canonicalize_coordinates(basis)
-        second_basis = canonicalize_coordinates(second_basis)
-        key = ("2", *self._key(target, basis, second_basis))
-        if key in self._cache:
-            return self._cache[key]
-        distance = self._best_distance(
-            target,
-            [basis, second_basis],
-            warm_key=self._warm_key("2", target, basis, second_basis),
-        )
-        return self._remember(key, distance < self.tolerance)
+        first = alcove_coordinates(basis)
+        second = first if second_basis is None else alcove_coordinates(second_basis)
+        return _products_reach(first, second, alcove_coordinates(target))
 
     def can_reach_in_3(self, target: Coords, basis: Coords) -> bool:
         """Return True if ``target`` is reachable in three layers of ``basis``."""
-        target = canonicalize_coordinates(target)
-        basis = canonicalize_coordinates(basis)
-        key = ("3", *self._key(target, basis))
-        if key in self._cache:
-            return self._cache[key]
-        distance = self._best_distance(
-            target,
-            [basis, basis, basis],
-            warm_key=self._warm_key("3", target, basis),
+        return _middle_class_exists(
+            alcove_coordinates(basis), alcove_coordinates(target)
         )
-        return self._remember(key, distance < self.tolerance)
 
-    def _best_distance(
-        self,
-        target: Coords,
-        layers: Sequence[Coords],
-        warm_key: tuple | None = None,
-    ) -> float:
-        """Smallest coordinate distance between the target class and any gate
-        reachable with the given 2Q layers and free interleaved 1Q gates."""
-        from repro.weyl.cartan import cartan_coordinates
-
-        basis_mats = [canonical_gate(*c) for c in layers]
-        target_arr = np.asarray(canonicalize_coordinates(target), dtype=float)
-        n_middle = len(layers) - 1
-        rng = np.random.default_rng(self.seed)
-
-        def cost(params: np.ndarray) -> float:
-            u = basis_mats[0]
-            for i in range(n_middle):
-                block = params[6 * i : 6 * (i + 1)]
-                local = np.kron(
-                    su2_from_params(block[:3]), su2_from_params(block[3:])
-                )
-                u = basis_mats[i + 1] @ local @ u
-            achieved = np.asarray(cartan_coordinates(u), dtype=float)
-            delta = achieved - target_arr
-            dist = float(np.dot(delta, delta))
-            # Bottom-plane mirror image of the target is the same class.
-            if target_arr[2] < 1e-9:
-                mirrored = np.array([1.0 - target_arr[0], target_arr[1], target_arr[2]])
-                delta_m = achieved - mirrored
-                dist = min(dist, float(np.dot(delta_m, delta_m)))
-            return dist
-
-        warm = self._warm.get(warm_key) if warm_key is not None else None
-        starts: list[np.ndarray] = []
-        if warm is not None and warm.shape == (6 * n_middle,):
-            starts.append(warm)
-        starts.append(np.zeros(6 * n_middle))
-
-        best = np.inf
-        best_x: np.ndarray | None = None
-        attempt = 0
-        while attempt < len(starts) or attempt < self.restarts + (warm is not None):
-            if attempt < len(starts):
-                x0 = starts[attempt]
-            else:
-                x0 = rng.uniform(-np.pi, np.pi, 6 * n_middle)
-            result = minimize(cost, x0, method="Nelder-Mead", options={"maxiter": 600, "fatol": 1e-12, "xatol": 1e-8})
-            if float(result.fun) < best:
-                best = float(result.fun)
-                best_x = np.asarray(result.x, dtype=float)
-            if best < self.tolerance**2:
-                break
-            attempt += 1
-        if warm_key is not None and best_x is not None:
-            if len(self._warm) >= self.max_entries:
-                self._warm.clear()
-            self._warm[warm_key] = best_x
-        return float(np.sqrt(best))
-
-
-_DEFAULT_ORACLE = TwoLayerOracle()
 
 #: Version of the depth-oracle semantics.  Participates in the service's
 #: ``program_cache_key`` blob: compiled programs embed layer counts derived
 #: from this oracle, so changing its rules must make every cached program
 #: structurally unservable.  Bump on any change to :func:`minimum_layers`,
-#: the tetrahedral regions, or :class:`CoverageSetOracle`.
-DEPTH_ORACLE_VERSION = 1
+#: the tetrahedral regions, or :class:`CoverageSetOracle`.  Version 2: layer
+#: counts come from the exact monodromy-polytope test.
+DEPTH_ORACLE_VERSION = 2
+
+
+def minimum_layers(
+    target: Coords,
+    basis: Coords,
+    max_layers: int = 4,
+    atol: float = 1e-7,
+) -> int:
+    """Minimum number of basis-gate layers needed to synthesize ``target``.
+
+    This is the analytic depth prediction used to skip straight to the right
+    search depth in the NuOp-style numerical synthesis (Section VII).  Depths
+    up to three are exact: SWAP and CNOT targets use the geometric
+    characterisations of Section V, every other target the monodromy-polytope
+    test of :class:`TwoLayerOracle`.  A target that needs more layers than
+    that (or than ``max_layers``) gets ``max_layers``.
+    """
+    target = canonicalize_coordinates(target)
+    basis = canonicalize_coordinates(basis)
+    # coordinates_close(target, point, atol) with the target canonicalized
+    # once; the identity, SWAP and CNOT points are canonical at any atol.
+    probe = canonicalize_coordinates(target, atol=atol)
+
+    def near(point: Coords) -> bool:
+        return canonical_points_close(probe, point, atol)
+
+    if near((0.0, 0.0, 0.0)):
+        return 0
+    if near(canonicalize_coordinates(basis, atol=atol)):
+        return 1
+
+    oracle = TwoLayerOracle()
+    is_swap = near(WEYL_POINTS["SWAP"])
+    if is_swap:
+        in_two = can_synthesize_swap_in_2_layers(basis, atol=atol)
+    elif near(WEYL_POINTS["CNOT"]):
+        in_two = can_synthesize_cnot_in_2_layers(basis)
+    else:
+        in_two = oracle.can_reach_in_2(target, basis)
+    if in_two:
+        return 2
+    if max_layers < 3:
+        return max_layers
+    if is_swap:
+        in_three = can_synthesize_swap_in_3_layers(basis)
+    else:
+        in_three = oracle.can_reach_in_3(target, basis)
+    return 3 if in_three else max_layers
 
 
 @dataclass
@@ -499,40 +682,24 @@ class CoverageSetOracle:
     minimum synthesis depth of a target is the first ``k`` whose set contains
     the target's canonical coordinates.  This class is that function for a
     *fixed* basis -- the shape the block-consolidation optimizer needs, one
-    oracle per physical edge -- with a per-basis memo on rounded coordinates
-    so repeat blocks (QFT's ladder of ``cp`` angles, mirrored adder halves)
-    are answered from the memo.
+    oracle per physical edge.
 
-    ``layers_fn`` is the underlying two-coordinate depth query; it defaults
-    to :func:`minimum_layers` (exact geometric tests for identity / basis /
-    SWAP / CNOT targets, numerical two-layer oracle otherwise) and is
+    ``layers_fn`` is the underlying two-coordinate depth query, which
+    canonicalizes its arguments; it defaults to :func:`minimum_layers` and is
     pluggable so the compiler can route it through its shared process-wide
     memo (``repro.compiler.cost.cached_minimum_layers``).
     """
 
     basis: Coords
     max_layers: int = 4
-    decimals: int = 6
-    layers_fn: "callable" = None  # type: ignore[assignment]
-    _memo: dict = field(default_factory=dict, repr=False)
+    layers_fn: Callable[[Coords, Coords, int], int] = minimum_layers
 
     def __post_init__(self) -> None:
         self.basis = canonicalize_coordinates(self.basis)
-        if self.layers_fn is None:
-            self.layers_fn = lambda target, basis, max_layers: minimum_layers(
-                target, basis, max_layers=max_layers
-            )
 
     def minimum_layers(self, target: Coords) -> int:
         """Depth of the first coverage set containing ``target`` (capped)."""
-        canonical = canonicalize_coordinates(target)
-        key = tuple(round(c, self.decimals) for c in canonical)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        layers = int(self.layers_fn(canonical, self.basis, self.max_layers))
-        self._memo[key] = layers
-        return layers
+        return int(self.layers_fn(target, self.basis, self.max_layers))
 
     def swap_layers(self) -> int:
         """Layers to cover SWAP (matches the Section V geometric answer)."""
@@ -548,47 +715,3 @@ class CoverageSetOracle:
             name: self.minimum_layers(coords)
             for name, coords in sorted(WEYL_POINTS.items())
         }
-
-
-def minimum_layers(
-    target: Coords,
-    basis: Coords,
-    max_layers: int = 4,
-    oracle: TwoLayerOracle | None = None,
-    atol: float = 1e-7,
-) -> int:
-    """Minimum number of basis-gate layers needed to synthesize ``target``.
-
-    This is the analytic depth prediction used to skip straight to the right
-    search depth in the NuOp-style numerical synthesis (Section VII).  SWAP
-    and CNOT targets use the exact geometric characterisations; other targets
-    fall back to the numerical oracle.
-    """
-    oracle = oracle if oracle is not None else _DEFAULT_ORACLE
-    target = canonicalize_coordinates(target)
-    basis = canonicalize_coordinates(basis)
-
-    if coordinates_close(target, (0.0, 0.0, 0.0), atol=atol):
-        return 0
-    if coordinates_close(target, basis, atol=atol):
-        return 1
-
-    is_swap = coordinates_close(target, WEYL_POINTS["SWAP"], atol=atol)
-    is_cnot = coordinates_close(target, WEYL_POINTS["CNOT"], atol=atol)
-
-    if is_swap:
-        if can_synthesize_swap_in_2_layers(basis, atol=atol):
-            return 2
-        if can_synthesize_swap_in_3_layers(basis):
-            return 3
-        return max(4, 3)
-    if is_cnot:
-        if can_synthesize_cnot_in_2_layers(basis):
-            return 2
-        return 3
-
-    if oracle.can_reach_in_2(target, basis):
-        return 2
-    if max_layers >= 3 and oracle.can_reach_in_3(target, basis):
-        return 3
-    return max_layers

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.gates.constants import CNOT, SWAP
-from repro.synthesis.depth import TwoLayerOracle, minimum_layers
+from repro.synthesis.depth import minimum_layers
 from repro.synthesis.numerical import SynthesisResult, synthesize_gate
 from repro.weyl.cartan import cartan_coordinates
 
@@ -77,7 +77,6 @@ class DecompositionLibrary:
     basis_duration: float
     one_qubit_duration: float = 20.0
     targets: dict[str, np.ndarray] = field(default_factory=lambda: dict(DEFAULT_TARGETS))
-    oracle: TwoLayerOracle = field(default_factory=TwoLayerOracle)
     max_layers: int = 4
     _entries: dict[str, GateDecomposition] = field(default_factory=dict, repr=False)
 
@@ -148,7 +147,6 @@ class DecompositionLibrary:
             cartan_coordinates(target),
             self.basis_coordinates,
             max_layers=self.max_layers,
-            oracle=self.oracle,
         )
         duration = layered_duration(layers, self.basis_duration, self.one_qubit_duration)
         return GateDecomposition(target_name=key, n_layers=layers, duration=duration)

@@ -88,34 +88,34 @@ def canonicalize_coordinates(
     permuting the coordinates.  Additionally, on the bottom plane (``tz = 0``)
     the points ``(tx, ty, 0)`` and ``(1 - tx, ty, 0)`` represent the same
     local-equivalence class; we return the representative with ``tx <= 1/2``.
+
+    Works on Python floats (three numbers do not amortise numpy's per-call
+    cost); every step is the same IEEE operation as in
+    :func:`canonicalize_coordinates_batch`, so the two agree bit for bit.
     """
-    c = np.array(coords, dtype=float)
-    if c.shape != (3,):
+    array = np.asarray(coords, dtype=float)
+    if array.shape != (3,):
         raise ValueError(f"expected 3 coordinates, got {coords!r}")
+    c = array.tolist()
 
     for _ in range(20):
-        c = np.mod(c, 1.0)
-        c = np.sort(c)[::-1]
-        changed = False
+        c = sorted((v % 1.0 for v in c), reverse=True)
         # If the two largest coordinates exceed the chamber (second one above
         # 1/2 or their sum above 1), reflect them: (a, b) -> (1 - a, 1 - b).
-        if c[1] > 0.5 + atol or c[0] + c[1] > 1.0 + atol:
-            c[0], c[1] = 1.0 - c[0], 1.0 - c[1]
-            changed = True
-        if not changed:
+        if not (c[1] > 0.5 + atol or c[0] + c[1] > 1.0 + atol):
             break
-    c = np.mod(c, 1.0)
-    c = np.sort(c)[::-1]
+        c[0], c[1] = 1.0 - c[0], 1.0 - c[1]
+    c = sorted((v % 1.0 for v in c), reverse=True)
 
     # Bottom-plane representative: if tz == 0, report tx in [0, 1/2].
     if c[2] < atol and c[0] > 0.5 + atol:
         c[0] = 1.0 - c[0]
-        c = np.sort(c)[::-1]
+        c.sort(reverse=True)
 
     # Snap tiny numerical noise to zero.
-    c[np.abs(c) < atol] = 0.0
-    c[np.abs(c - 1.0) < atol] = 0.0
-    return float(c[0]), float(c[1]), float(c[2])
+    c = [0.0 if abs(v) < atol else v for v in c]
+    c = [0.0 if abs(v - 1.0) < atol else v for v in c]
+    return c[0], c[1], c[2]
 
 
 def canonicalize_coordinates_batch(
@@ -172,15 +172,31 @@ def coordinates_close(
     atol: float = 1e-7,
 ) -> bool:
     """Compare two canonical coordinate triples, honouring the bottom-plane
-    identification ``(tx, ty, 0) ~ (1 - tx, ty, 0)``."""
-    a = np.asarray(canonicalize_coordinates(a, atol=atol), dtype=float)
-    b = np.asarray(canonicalize_coordinates(b, atol=atol), dtype=float)
-    if np.allclose(a, b, atol=atol):
+    identification ``(tx, ty, 0) ~ (1 - tx, ty, 0)``.
+
+    Each coordinate must match within ``atol + 1e-5 * |b|`` (the
+    ``np.allclose`` rule).
+    """
+    return canonical_points_close(
+        canonicalize_coordinates(a, atol=atol),
+        canonicalize_coordinates(b, atol=atol),
+        atol,
+    )
+
+
+def canonical_points_close(
+    a: tuple[float, float, float], b: tuple[float, float, float], atol: float
+) -> bool:
+    """:func:`coordinates_close` for points already canonicalized at ``atol``."""
+
+    def close(x, y) -> bool:
+        return all(abs(p - q) <= atol + 1e-5 * abs(q) for p, q in zip(x, y))
+
+    if close(a, b):
         return True
     # Near the bottom plane the two representatives (tx, ty, ~0) and
     # (1 - tx, ty, ~0) describe gates a distance O(tz) apart, so within the
     # comparison tolerance they should be treated as the same class.
     if a[2] < 10 * atol and b[2] < 10 * atol:
-        mirrored = np.array([1.0 - b[0], b[1], b[2]])
-        return bool(np.allclose(a, mirrored, atol=atol))
+        return close(a, (1.0 - b[0], b[1], b[2]))
     return False

@@ -12,7 +12,7 @@ from repro.core import (
     PredicateStrategy,
     select_basis_gate,
 )
-from repro.core.basis_selection import available_strategies
+from repro.core.basis_selection import _cnot_layer_count, available_strategies
 from repro.core.regions import (
     cnot2_feasible_volume_fraction,
     exact_infeasible_volume_fractions,
@@ -21,7 +21,7 @@ from repro.core.regions import (
     swap3_feasible_volume_fraction,
 )
 from repro.hamiltonian.effective import EffectiveEntanglerModel
-from repro.synthesis.depth import can_synthesize_swap_in_3_layers
+from repro.synthesis.depth import TwoLayerOracle, can_synthesize_swap_in_3_layers
 from repro.weyl.entangling_power import is_perfect_entangler
 
 
@@ -154,6 +154,23 @@ class TestSelectionStrategies:
         selection = composite.select(nonstandard_trajectory)
         reference = Criterion2Strategy().select(nonstandard_trajectory)
         assert selection.duration == pytest.approx(reference.duration, abs=0.05)
+
+    def test_composite_budget_below_three_is_checked(self, nonstandard_trajectory):
+        """A budget of two is a real test, not a cap that every gate meets:
+        the first samples (0.25 ns, near the identity) cannot make B in two
+        layers; the first sample that can is at 11.0 ns."""
+        b_gate = (0.5, 0.25, 0.0)
+        composite = CompositeCriterionStrategy(targets={"b": (b_gate, 2)})
+        selection = composite.select(nonstandard_trajectory)
+        assert 10.75 <= selection.duration <= 11.0
+        assert TwoLayerOracle().can_reach_in_2(b_gate, selection.coordinates)
+        first = tuple(nonstandard_trajectory.coordinates[0])
+        assert not TwoLayerOracle().can_reach_in_2(b_gate, first)
+
+    def test_cnot_layer_count_is_checked_beyond_two(self):
+        assert _cnot_layer_count((0.25, 0.25, 0.0)) == 2
+        assert _cnot_layer_count((0.2, 0.0, 0.0)) == 3
+        assert _cnot_layer_count((0.15, 0.1, 0.02)) == 4
 
     def test_available_strategies_listed(self):
         assert set(available_strategies()) >= {"baseline", "criterion1", "criterion2"}

@@ -16,7 +16,12 @@ Three layers of proof:
 
 from __future__ import annotations
 
+import json
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +51,8 @@ from repro.compiler.pipeline.target import build_target
 from repro.device import Device, DeviceParameters
 from repro.fleet import TopologySpec, build_circuit
 from repro.synthesis import DEPTH_ORACLE_VERSION, CoverageSetOracle
+
+ROOT = Path(__file__).resolve().parents[1]
 
 #: Topologies small enough for dense unitary contraction of the routed
 #: (physical-width) circuit.
@@ -245,21 +252,33 @@ class TestCoverageSetOracle:
         assert oracle.minimum_layers((0.0, 0.0, 0.0)) == 0
         assert oracle.minimum_layers((0.5, 0.25, 0.0)) == 1
 
-    def test_memo_hits(self):
+    def test_queries_route_through_layers_fn(self):
         calls = []
 
         def counting(target, basis, max_layers):
-            calls.append(target)
+            calls.append((target, basis, max_layers))
             return 2
 
         oracle = CoverageSetOracle(basis=(0.5, 0.0, 0.0), layers_fn=counting)
         assert oracle.minimum_layers((0.3, 0.1, 0.0)) == 2
-        assert oracle.minimum_layers((0.3, 0.1, 0.0)) == 2
-        assert len(calls) == 1
+        assert calls == [((0.3, 0.1, 0.0), (0.5, 0.0, 0.0), 4)]
+
+    def test_repeat_blocks_hit_the_shared_memo(self):
+        from repro.compiler.cost import _minimum_layers_memo, cached_minimum_layers
+
+        oracle = CoverageSetOracle(
+            basis=(0.25, 0.25, 0.0),
+            layers_fn=lambda target, basis, layers: cached_minimum_layers(
+                target, basis, max_layers=layers, decimals=3
+            ),
+        )
+        first = oracle.minimum_layers((0.3171, 0.2, 0.1))
+        hits = _minimum_layers_memo.cache_info().hits
+        assert oracle.minimum_layers((0.3169, 0.2, 0.1)) == first
+        assert _minimum_layers_memo.cache_info().hits == hits + 1
 
     def test_version_constant(self):
-        assert isinstance(DEPTH_ORACLE_VERSION, int)
-        assert DEPTH_ORACLE_VERSION >= 1
+        assert DEPTH_ORACLE_VERSION == 2
 
 
 # -- pipeline wiring -----------------------------------------------------------
@@ -402,17 +421,17 @@ GOLDEN_OPTIMIZED = {
         "blocks_considered": 17,
         "blocks_consolidated": 1,
         "blocks_dropped": 0,
-        "two_qubit_layers": 61,
-        "depth_lower_bound": 47,
+        "two_qubit_layers": 60,
+        "depth_lower_bound": 46,
         "duration_ns": 1857.4951171875,
     },
     "qft_8": {
         "blocks_considered": 54,
         "blocks_consolidated": 7,
         "blocks_dropped": 0,
-        "two_qubit_layers": 186,
-        "depth_lower_bound": 158,
-        "duration_ns": 5024.37890625,
+        "two_qubit_layers": 183,
+        "depth_lower_bound": 155,
+        "duration_ns": 4993.525390625,
     },
     "cuccaro_8": {
         "blocks_considered": 60,
@@ -425,30 +444,10 @@ GOLDEN_OPTIMIZED = {
 }
 
 
-def _reset_layer_count_state() -> None:
-    """Restore the process-wide layer-count memos to fresh-process state.
-
-    The shared :class:`~repro.synthesis.depth.TwoLayerOracle` keeps
-    *warm-start* angles from earlier queries, which can make a later
-    feasibility search succeed where a cold search stops at a local optimum
-    -- so layer counts (and therefore consolidation decisions) depend on
-    process history.  The golden pins below are fresh-process numbers, so
-    the fixture resets that history before compiling them.
-    """
-    from repro.compiler import cost
-    from repro.synthesis import depth
-
-    cost._minimum_layers_memo.cache_clear()
-    for oracle in (cost._SHARED_ORACLE, depth._DEFAULT_ORACLE):
-        oracle._cache.clear()
-        oracle._warm.clear()
-
-
 class TestGoldenHeavyHex:
     @pytest.fixture(scope="class")
     def golden_runs(self):
-        """All six golden compiles, from fresh state, in generation order."""
-        _reset_layer_count_state()
+        """All six golden compiles, in generation order."""
         device = _device("heavy_hex:2")
         runs: dict[str, dict[bool, object]] = {}
         for name in ("qft_5", "qft_8", "cuccaro_8"):
@@ -464,6 +463,32 @@ class TestGoldenHeavyHex:
                 for optimize in (False, True)
             }
         return runs
+
+    def test_reverse_order_in_a_fresh_process(self, golden_runs):
+        """Layer counts are a pure function of their coordinates: compiling
+        the cells in reverse order in a new process changes no summary."""
+        script = (
+            "import json\n"
+            "from repro.compiler import transpile\n"
+            "from repro.device import Device, DeviceParameters\n"
+            "from repro.fleet import TopologySpec, build_circuit\n"
+            "graph = TopologySpec.parse('heavy_hex:2').graph()\n"
+            "device = Device(graph=graph, params=DeviceParameters(seed=11))\n"
+            "print(json.dumps({name: [transpile(build_circuit(name), device,\n"
+            "    strategy='criterion2', seed=17, optimize=optimize).summary()\n"
+            "    for optimize in (True, False)]\n"
+            "    for name in ('cuccaro_8', 'qft_8', 'qft_5')}))\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        )
+        fresh = json.loads(completed.stdout)
+        for name, runs in golden_runs.items():
+            assert fresh[name] == [runs[True].summary(), runs[False].summary()]
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_BASE))
     def test_optimize_false_byte_identical(self, golden_runs, name):

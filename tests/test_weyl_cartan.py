@@ -72,6 +72,29 @@ def test_canonicalize_is_idempotent(rng):
         assert in_weyl_chamber(once)
 
 
+def test_scalar_and_batch_canonicalization_agree_bit_for_bit(rng):
+    """The float-based scalar path and the numpy batch path must agree
+    exactly, including at the chamber's edges and snapping thresholds."""
+    from repro.weyl.cartan import canonicalize_coordinates_batch
+
+    edges = [0.0, -0.0, 1e-12, -1e-12, 1e-9, 0.25, 0.5, 0.5 + 1e-11, 0.75, 1.0,
+             1 - 1e-12, -0.5, 1.5, 1 / 3, 2 / 3]
+    points = np.vstack(
+        [rng.choice(edges, size=(2000, 3)), rng.uniform(-3, 3, size=(2000, 3))]
+    )
+    for atol in (1e-10, 1e-7):
+        batch = canonicalize_coordinates_batch(points, atol=atol)
+        scalar = np.array([canonicalize_coordinates(p, atol=atol) for p in points])
+        assert np.array_equal(batch, scalar)
+
+
+def test_identity_swap_and_cnot_are_canonical_at_any_tolerance():
+    # minimum_layers compares against these points without re-canonicalizing.
+    for atol in (1e-10, 1e-7, 1e-3):
+        for point in ((0.0, 0.0, 0.0), (0.5, 0.5, 0.5), (0.5, 0.0, 0.0)):
+            assert canonicalize_coordinates(point, atol=atol) == point
+
+
 def test_canonicalize_known_symmetries():
     # Shift of one coordinate by an integer is a local operation.
     assert canonicalize_coordinates((1.3, 0.2, 0.1)) == pytest.approx(
