@@ -265,7 +265,7 @@ async def bench_cluster_restart(args: argparse.Namespace, store_dir: str) -> dic
     return {
         **phase,
         "cache": cache,
-        "builds_after_restart": cache["builds"],
+        "builds_after_restart": cache["misses"],
         "disk_hits_after_restart": cache["disk_hits"],
     }
 

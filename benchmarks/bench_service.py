@@ -302,7 +302,7 @@ def main(argv: list[str] | None = None) -> dict:
     print(
         f"speedup (warm/cold): {results['speedup_warm_over_cold']:.1f}x; "
         f"cache: {cache['memory_hits']} memory hits, {cache['disk_hits']} disk "
-        f"hits, {cache['builds']} builds"
+        f"hits, {cache['misses']} builds"
     )
     print(
         f"program cache: hit rate {program['warm_hit_rate']:.2f}, "

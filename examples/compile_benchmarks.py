@@ -40,7 +40,7 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument(
         "--cache-dir",
         default=None,
-        help="persist per-strategy Target snapshots here (fleet TargetCache); "
+        help="persist per-strategy Target snapshots here (the target store); "
         "repeat runs skip calibration",
     )
     args = parser.parse_args(argv)

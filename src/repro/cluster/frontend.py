@@ -40,7 +40,7 @@ from repro.cluster.fairness import FairQueue
 from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.ring import DEFAULT_VNODES, HashRing, device_route_key
 from repro.cluster.shard import ShardProcess
-from repro.service.net import ServiceClient
+from repro.service.net import ServiceClient, serve_json_lines
 from repro.service.requests import (
     DEFAULT_COHERENCE_US,
     DEFAULT_GATE_NS,
@@ -787,25 +787,7 @@ class ClusterFrontend:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self._connections.add(writer)
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    return
-                text = line.decode("utf-8", errors="replace").strip()
-                if not text:
-                    continue
-                response = await self._handle_line(text)
-                writer.write((json.dumps(response) + "\n").encode("utf-8"))
-                await writer.drain()
-                if response.get("shutdown"):
-                    return
-        except (ConnectionResetError, BrokenPipeError):
-            return  # client went away mid-exchange; nothing to answer
-        finally:
-            self._connections.discard(writer)
-            writer.close()
+        await serve_json_lines(reader, writer, self._handle_line, self._connections)
 
     async def _handle_line(self, text: str) -> dict:
         try:

@@ -20,8 +20,13 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from dataclasses import fields
 
 from repro.service.metrics import RESERVOIR_SIZE, percentiles
+from repro.store import StoreStats
+
+#: The counters summed across shards for both store blocks.
+STORE_COUNTERS = tuple(field.name for field in fields(StoreStats))
 
 
 class ClusterMetrics:
@@ -127,13 +132,8 @@ class ClusterMetrics:
             "calibrations": 0,
             "batches_total": 0,
             "cells_total": 0,
-            "cache": {"memory_hits": 0, "disk_hits": 0, "builds": 0},
-            "programs": {
-                "memory_hits": 0,
-                "disk_hits": 0,
-                "compiled": 0,
-                "invalidated": 0,
-            },
+            "cache": dict.fromkeys(STORE_COUNTERS, 0),
+            "programs": dict.fromkeys(STORE_COUNTERS, 0),
         }
         for snapshot in shard_snapshots.values():
             if not snapshot:
@@ -145,12 +145,10 @@ class ClusterMetrics:
             batches = snapshot.get("batches", {})
             totals["batches_total"] += int(batches.get("total", 0))
             totals["cells_total"] += int(batches.get("cells_total", 0))
-            cache = snapshot.get("cache", {})
-            for layer in ("memory_hits", "disk_hits", "builds"):
-                totals["cache"][layer] += int(cache.get(layer, 0))
-            programs = snapshot.get("programs", {})
-            for counter in totals["programs"]:
-                totals["programs"][counter] += int(programs.get(counter, 0))
+            for block in ("cache", "programs"):
+                counters = snapshot.get(block, {})
+                for counter in STORE_COUNTERS:
+                    totals[block][counter] += int(counters.get(counter, 0))
         return totals
 
     def snapshot(

@@ -13,7 +13,7 @@ closes the loop:
   (basis pulses plus interleaved single-qubit layers) and a ``-log(fidelity)``
   coherence weight.  It is plain data: serializable via ``to_dict`` /
   ``from_dict`` and persisted alongside targets in the fleet's on-disk
-  :class:`~repro.fleet.cache.TargetCache`.
+  target store (:mod:`repro.fleet.cache`).
 
 * **Mapping metrics** -- the pluggable distance/edge-cost objects consumed by
   :class:`~repro.compiler.routing.SabreRouter` and the layout heuristics.
@@ -161,7 +161,7 @@ class CostModel:
 
     Built once per (device, strategy) -- see
     :meth:`~repro.compiler.pipeline.target.Target.cost_model`, which memoises
-    it on the target, and the fleet :class:`~repro.fleet.cache.TargetCache`,
+    it on the target, and the target store (:mod:`repro.fleet.cache`),
     which persists it next to the target snapshot.
     """
 

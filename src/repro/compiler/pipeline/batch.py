@@ -28,8 +28,8 @@ each worker once, via the pool initializer, and compiles with true
 parallelism; results are byte-identical to the serial path because target
 serialization round-trips every float exactly.
 
-Callers that already hold targets (for example the fleet engine's persistent
-:class:`~repro.fleet.cache.TargetCache`) can pass them in via ``targets=`` to
+Callers that already hold targets (for example from the persistent target
+store, :func:`~repro.fleet.cache.get_target`) can pass them in via ``targets=`` to
 skip ``build_target`` entirely.
 """
 

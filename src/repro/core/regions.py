@@ -15,11 +15,11 @@ import numpy as np
 from repro.synthesis.depth import (
     CNOT2_INFEASIBLE_TETRAHEDRA,
     SWAP3_INFEASIBLE_TETRAHEDRA,
-    can_synthesize_cnot_in_2_layers,
-    can_synthesize_swap_in_3_layers,
+    cnot2_feasible_mask,
     mirror_coordinates,
+    swap3_feasible_mask,
 )
-from repro.weyl.chamber import WEYL_POINTS, chamber_volume_fraction, points_on_segment
+from repro.weyl.chamber import WEYL_POINTS, points_on_segment, sample_chamber_points
 
 Coords = tuple[float, float, float]
 
@@ -63,13 +63,23 @@ def cnot2_infeasible_tetrahedra() -> tuple:
     return CNOT2_INFEASIBLE_TETRAHEDRA
 
 
+def _masked_fraction(mask_fn, n_samples: int, seed: int) -> float:
+    """Fraction of ``n_samples`` seeded chamber points inside a region mask.
+
+    Draws exactly the points :func:`~repro.weyl.chamber.chamber_volume_fraction`
+    draws for the same seed, and the masks agree with the scalar predicates
+    point for point, so the fraction is the scalar loop's, bit for bit.
+    """
+    points = sample_chamber_points(n_samples, np.random.default_rng(seed))
+    return int(np.count_nonzero(mask_fn(points))) / float(n_samples)
+
+
 def swap3_feasible_volume_fraction(n_samples: int = 20000, seed: int = 1234) -> float:
     """Monte-Carlo fraction of the chamber able to give SWAP in 3 layers.
 
     The paper quotes 68.5 %.
     """
-    rng = np.random.default_rng(seed)
-    return chamber_volume_fraction(can_synthesize_swap_in_3_layers, n_samples, rng)
+    return _masked_fraction(swap3_feasible_mask, n_samples, seed)
 
 
 def cnot2_feasible_volume_fraction(n_samples: int = 20000, seed: int = 1234) -> float:
@@ -77,17 +87,15 @@ def cnot2_feasible_volume_fraction(n_samples: int = 20000, seed: int = 1234) -> 
 
     The paper quotes 75 %.
     """
-    rng = np.random.default_rng(seed)
-    return chamber_volume_fraction(can_synthesize_cnot_in_2_layers, n_samples, rng)
+    return _masked_fraction(cnot2_feasible_mask, n_samples, seed)
 
 
 def intersection_volume_fraction(n_samples: int = 20000, seed: int = 1234) -> float:
     """Fraction of the chamber in the Fig. 4(f) region (SWAP-3 and CNOT-2)."""
-    rng = np.random.default_rng(seed)
-    return chamber_volume_fraction(
-        lambda c: can_synthesize_swap_in_3_layers(c) and can_synthesize_cnot_in_2_layers(c),
+    return _masked_fraction(
+        lambda points: swap3_feasible_mask(points) & cnot2_feasible_mask(points),
         n_samples,
-        rng,
+        seed,
     )
 
 

@@ -37,7 +37,7 @@ rebuilding).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +46,7 @@ from repro.calibration.protocol import retune_selection
 from repro.compiler.cost import validate_mapping
 from repro.compiler.pipeline.dispatch import BatchDispatcher, DispatchContext
 from repro.compiler.pipeline.registry import validate_strategy
-from repro.compiler.pipeline.target import Target, build_target
+from repro.compiler.pipeline.target import Target
 from repro.device.device import Device
 from repro.drift.models import DriftEvent, parse_drift_model, apply_drift
 from repro.drift.policies import (
@@ -55,11 +55,12 @@ from repro.drift.policies import (
     predicted_edge_losses,
     summarize_losses,
 )
+from repro.fleet.cache import TARGET_CODEC, get_target
 from repro.fleet.devices import device_fingerprint, make_device
 from repro.fleet.spec import TopologySpec
 from repro.fleet.sweep import build_circuit
 from repro.gates.unitary import process_fidelity
-from repro.service.hotcache import TargetHotCache
+from repro.store import ContentStore
 
 Edge = tuple[int, int]
 
@@ -90,10 +91,9 @@ class DriftSpec:
         drift_seed: seeds the per-epoch drift RNG (independent of the
             device's fabrication seed).
         coherence_time_us, single_qubit_gate_ns: initial device constants.
-        cache_dir: when set, full recalibrations run through the persistent
-            on-disk :class:`~repro.fleet.cache.TargetCache` under the
-            in-memory hot layer, and the per-epoch records report both
-            layers' churn.
+        cache_dir: when set, full recalibrations run through the target
+            store's on-disk layer under its in-memory LRU, and the per-epoch
+            records report both layers' churn.
         hot_capacity: bound of the in-memory hot target LRU.
         executor, max_workers: dispatch fan-out (as in ``FleetSpec``).
     """
@@ -353,19 +353,6 @@ def _capture_reference_rates(
     return rates
 
 
-def _cache_counters(hot: TargetHotCache) -> dict[str, int]:
-    """Flat view of both cache layers' counters (for per-epoch deltas)."""
-    counters = {
-        "memory_hits": hot.stats.memory_hits,
-        "disk_hits": hot.stats.disk_hits,
-        "builds": hot.stats.builds,
-    }
-    if hot.disk is not None:
-        counters["disk_layer_hits"] = hot.disk.stats.hits
-        counters["disk_layer_misses"] = hot.disk.stats.misses
-    return counters
-
-
 def _run_policy(spec: DriftSpec, policy: RecalibrationPolicy) -> PolicyRun:
     device = make_device(
         spec.topology,
@@ -374,7 +361,7 @@ def _run_policy(spec: DriftSpec, policy: RecalibrationPolicy) -> PolicyRun:
         single_qubit_gate_ns=spec.single_qubit_gate_ns,
     )
     models = [parse_drift_model(text) for text in spec.drift]
-    hot = TargetHotCache(capacity=spec.hot_capacity, cache_dir=spec.cache_dir)
+    hot = ContentStore(TARGET_CODEC, spec.hot_capacity, spec.cache_dir)
     circuits = [build_circuit(name) for name in spec.circuits]
 
     targets: dict[str, Target] = {}
@@ -386,7 +373,7 @@ def _run_policy(spec: DriftSpec, policy: RecalibrationPolicy) -> PolicyRun:
         executor=spec.executor, max_workers=spec.max_workers
     ) as dispatcher:
         for epoch in range(spec.epochs):
-            before = _cache_counters(hot)
+            before = asdict(hot.stats)
             events: list[DriftEvent] = []
             action, reason = "none", "initial calibration"
             loss_mean = loss_max = 0.0
@@ -394,8 +381,8 @@ def _run_policy(spec: DriftSpec, policy: RecalibrationPolicy) -> PolicyRun:
             if epoch == 0:
                 fingerprint = device_fingerprint(device)
                 for strategy in spec.strategies:
-                    targets[strategy], sources[strategy] = hot.get(
-                        device, strategy, fingerprint
+                    targets[strategy], sources[strategy] = get_target(
+                        hot, device, strategy, fingerprint
                     )
                 reference_rates = _capture_reference_rates(device, targets)
             else:
@@ -406,13 +393,13 @@ def _run_policy(spec: DriftSpec, policy: RecalibrationPolicy) -> PolicyRun:
                 action, reason = plan.action, plan.reason
                 if plan.action == "full":
                     # Drift already invalidated the device (one epoch bump per
-                    # apply_drift); rebuilding through the layered caches is
-                    # therefore equivalent to build_target(refresh=True) minus
-                    # the redundant second invalidation.
+                    # apply_drift); rebuilding through the store is therefore
+                    # equivalent to a refresh=True rebuild minus the
+                    # redundant second invalidation.
                     fingerprint = device_fingerprint(device)
                     for strategy in spec.strategies:
-                        targets[strategy], sources[strategy] = hot.get(
-                            device, strategy, fingerprint
+                        targets[strategy], sources[strategy] = get_target(
+                            hot, device, strategy, fingerprint
                         )
                     reference_rates = _capture_reference_rates(device, targets)
                     run.recalibrations += 1
@@ -422,7 +409,7 @@ def _run_policy(spec: DriftSpec, policy: RecalibrationPolicy) -> PolicyRun:
                         # A fresh lazy target resolves only the flagged edges
                         # (per-edge laziness is exactly what makes selective
                         # recalibration cheaper than a full rebuild).
-                        fresh = build_target(device, strategy)
+                        fresh = Target.from_device(device, strategy)
                         updates = {
                             edge: fresh.basis_gate(edge) for edge in plan.edges
                         }
@@ -491,7 +478,7 @@ def _run_policy(spec: DriftSpec, policy: RecalibrationPolicy) -> PolicyRun:
                     "duration_mean_ns": float(np.mean(durations)),
                 }
 
-            after = _cache_counters(hot)
+            after = asdict(hot.stats)
             run.epochs.append(
                 EpochRecord(
                     epoch=epoch,
@@ -503,7 +490,7 @@ def _run_policy(spec: DriftSpec, policy: RecalibrationPolicy) -> PolicyRun:
                     edges_recalibrated=edges_recalibrated,
                     target_sources=dict(sources),
                     strategies=per_strategy,
-                    cache={key: after[key] - before.get(key, 0) for key in after},
+                    cache={key: after[key] - before[key] for key in after},
                 )
             )
     run.cache = hot.as_dict()

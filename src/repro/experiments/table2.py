@@ -116,9 +116,9 @@ def table2_rows(
     (device, strategy) target is built once, every circuit is laid out and
     routed once, and independent circuits compile concurrently when
     ``max_workers`` allows -- over threads or, with ``executor="process"``,
-    a process pool.  ``cache_dir`` routes the targets through the fleet
-    engine's persistent :class:`~repro.fleet.cache.TargetCache`, so repeat
-    runs against the same device skip calibration entirely.
+    a process pool.  ``cache_dir`` routes the targets through the persistent
+    target store (:func:`~repro.fleet.cache.get_target`), so repeat runs
+    against the same device skip calibration entirely.
 
     ``mapping`` selects the layout/routing metric (``"hop_count"``
     reproduces the paper's setup; ``"basis_aware"`` routes each strategy
@@ -135,11 +135,12 @@ def table2_rows(
 
     targets = None
     if cache_dir is not None:
-        from repro.fleet.cache import TargetCache
+        from repro.fleet.cache import TARGET_CODEC, get_target
+        from repro.store import ContentStore
 
-        cache = TargetCache(cache_dir)
+        store = ContentStore(TARGET_CODEC, len(config.strategies), cache_dir)
         targets = {
-            strategy: cache.get_or_build(device, strategy)
+            strategy: get_target(store, device, strategy)[0]
             for strategy in config.strategies
         }
 

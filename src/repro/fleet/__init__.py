@@ -8,7 +8,8 @@ win rates against the fixed-basis baseline.
 
 Two performance layers keep sweeps fast:
 
-* :class:`~repro.fleet.cache.TargetCache` persists completed per-device
+* a :class:`~repro.store.ContentStore` with
+  :data:`~repro.fleet.cache.TARGET_CODEC` persists completed per-device
   ``Target`` snapshots on disk (keyed by device fingerprint + strategy +
   registry generation), so recompiles across runs skip calibration entirely;
 * ``transpile_batch(..., executor="process")`` fans CPU-bound compilation
@@ -31,7 +32,7 @@ or, from the shell: ``python -m repro.fleet --topology grid:3x3 --draws 3``.
 See ``docs/fleet.md`` for the full specification and cache semantics.
 """
 
-from repro.fleet.cache import CacheStats, TargetCache
+from repro.fleet.cache import TARGET_CODEC, get_target
 from repro.fleet.devices import (
     FINGERPRINT_FIELDS,
     Scenario,
@@ -56,8 +57,8 @@ from repro.fleet.sweep import (
 )
 
 __all__ = [
-    "CacheStats",
-    "TargetCache",
+    "TARGET_CODEC",
+    "get_target",
     "FINGERPRINT_FIELDS",
     "Scenario",
     "build_device",

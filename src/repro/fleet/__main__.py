@@ -156,7 +156,7 @@ def main(argv: list[str] | None = None) -> FleetResult:
             print(result.format_mapping_table())
         if result.cache_stats is not None:
             print(
-                f"\nTarget cache: {result.cache_stats['hits']} hits, "
+                f"\nTarget cache: {result.cache_stats['disk_hits']} hits, "
                 f"{result.cache_stats['misses']} misses "
                 f"(hit rate {result.cache_stats['hit_rate'] * 100:.0f}%)"
             )

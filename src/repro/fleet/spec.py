@@ -128,8 +128,8 @@ class FleetSpec:
         compile_seed: layout/routing seed shared by every cell.
         max_workers: fan-out width for ``transpile_batch`` (None/<=1 serial).
         executor: ``"thread"`` or ``"process"`` (see ``transpile_batch``).
-        cache_dir: when set, targets persist in a
-            :class:`~repro.fleet.cache.TargetCache` rooted here, so warm
+        cache_dir: when set, targets persist in a target store
+            (:func:`~repro.fleet.cache.get_target`) rooted here, so warm
             reruns skip calibration entirely.
         coherence_time_us: per-qubit coherence time for every fleet device.
         single_qubit_gate_ns: single-qubit gate duration for every device.

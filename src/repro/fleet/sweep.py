@@ -1,9 +1,9 @@
 """The fleet sweep: compile every (circuit x strategy x device) cell.
 
 :func:`run_sweep` is the engine's entry point.  For each device of the fleet
-it obtains one completed :class:`Target` per strategy -- from the persistent
-:class:`~repro.fleet.cache.TargetCache` when the spec names a ``cache_dir``,
-else built in-memory -- and pushes the whole circuit suite through the
+it obtains one :class:`Target` per strategy -- completed through the
+persistent target store (:func:`~repro.fleet.cache.get_target`) when the
+spec names a ``cache_dir``, else resolved lazily in memory -- and pushes the whole circuit suite through the
 shared dispatch core (:class:`~repro.compiler.pipeline.dispatch.BatchDispatcher`,
 serial, thread- or process-pooled per the spec; one pool persists across the
 whole sweep).  The
@@ -34,9 +34,10 @@ from repro.circuits.library import (
 from repro.compiler.pipeline.dispatch import BatchDispatcher, DispatchContext
 from repro.compiler.pipeline.registry import validate_strategy
 from repro.compiler.pipeline.target import build_target
-from repro.fleet.cache import TargetCache
+from repro.fleet.cache import TARGET_CODEC, get_target
 from repro.fleet.devices import build_device, device_fingerprint, fleet_scenarios
 from repro.fleet.spec import FleetSpec
+from repro.store import ContentStore
 
 #: QAOA circuits use a fixed graph seed so a named circuit is reproducible.
 _QAOA_GRAPH_SEED = 7
@@ -365,8 +366,8 @@ def run_sweep(spec: FleetSpec) -> FleetResult:
 
     With ``spec.cache_dir`` set, every (device, strategy) target -- and its
     derived cost model -- is served from or persisted to the on-disk
-    :class:`TargetCache`; a warm rerun of the same spec therefore hits the
-    cache for 100% of cells and never simulates an edge.
+    target store; a warm rerun of the same spec therefore hits the cache
+    for 100% of cells and never simulates an edge.
 
     Example::
 
@@ -391,7 +392,13 @@ def run_sweep(spec: FleetSpec) -> FleetResult:
                 f"circuits {oversized} need more qubits than topology "
                 f"{topology.label!r} has ({topology.n_qubits})"
             )
-    cache = TargetCache(spec.cache_dir) if spec.cache_dir is not None else None
+    # The memory layer only needs to hold the current device's targets:
+    # every scenario is a new device, so earlier entries are never re-read.
+    cache = (
+        ContentStore(TARGET_CODEC, len(spec.strategies), spec.cache_dir)
+        if spec.cache_dir is not None
+        else None
+    )
 
     cells: list[CellResult] = []
     # One dispatcher for the whole sweep: its worker pool persists across
@@ -405,9 +412,7 @@ def run_sweep(spec: FleetSpec) -> FleetResult:
             if cache is not None:
                 fingerprint = device_fingerprint(device)  # hash the device once
                 targets = {
-                    strategy: cache.get_or_build(
-                        device, strategy, fingerprint=fingerprint
-                    )
+                    strategy: get_target(cache, device, strategy, fingerprint)[0]
                     for strategy in spec.strategies
                 }
             else:

@@ -35,14 +35,14 @@ from repro.cluster.frontend import ClusterConfig, ClusterFrontend
 from repro.compiler.pipeline.dispatch import BatchDispatcher, DispatchContext
 from repro.drift.clock import DriftClock
 from repro.drift.sweep import drifted_circuit_fidelity
-from repro.fleet.cache import TargetCache
+from repro.fleet.cache import TARGET_CODEC, get_target
 from repro.fleet.devices import device_fingerprint, make_device
 from repro.fleet.spec import TopologySpec
 from repro.fleet.sweep import build_circuit
 from repro.ops.report import PhaseReport, ScenarioReport
 from repro.ops.scenario import DeviceSpec, PhaseSpec, ScenarioSpec, WorkloadSpec
 from repro.ops.traffic import TrafficRecord, TrafficStats, build_plan, run_traffic
-from repro.service.hotcache import TargetHotCache
+from repro.store import ContentStore
 
 
 def decide_canary(
@@ -86,10 +86,11 @@ class ScenarioRunner:
         self.expected: dict[tuple, str] = {}
         self.drift_ticks_acked = 0
         self.drift_ticks_total = 0
-        # Evaluation harness for true-fidelity scoring on the drifted
-        # shadows; shares the on-disk store, so targets the shards already
-        # built deserialize instead of rebuilding.
-        self._eval_targets = TargetHotCache(capacity=32, cache_dir=self.store_dir)
+        # The runner's view of the shared target store: the warm start
+        # fills it, and true-fidelity scoring on the drifted shadows reads
+        # it, so targets the shards already built deserialize instead of
+        # rebuilding.
+        self._targets = ContentStore(TARGET_CODEC, 32, self.store_dir)
         self._eval_dispatcher = BatchDispatcher(executor="thread", max_workers=None)
 
     # -- lifecycle ------------------------------------------------------------
@@ -149,12 +150,18 @@ class ScenarioRunner:
             self.expected[key] = clock.fingerprint
 
     def _warm_store(self) -> None:
-        """Fleet-cache pre-warm: build the working set before traffic starts."""
-        store = TargetCache(self.store_dir)
+        """Target-store pre-warm: build the working set before traffic starts.
+
+        Goes through the store's locked get-or-build, so concurrent warmers
+        over a shared directory still build each cell once.
+        """
         for key, clock in self.clocks.items():
-            outcome = store.warm(
-                clock.shadow, self.workload.strategies, self.expected[key]
-            )
+            outcome = {
+                strategy: get_target(
+                    self._targets, clock.shadow, strategy, self.expected[key]
+                )[1]
+                for strategy in self.workload.strategies
+            }
             self.log(f"  warm {key[0]}/{key[1]}: {outcome}")
 
     # -- phase execution ------------------------------------------------------
@@ -402,10 +409,9 @@ class ScenarioRunner:
             fingerprint = device_fingerprint(shadow)
             targets = {}
             for strategy in strategies:
-                target, _source = self._eval_targets.get(
-                    shadow, strategy, fingerprint
-                )
-                targets[strategy] = target
+                targets[strategy] = get_target(
+                    self._targets, shadow, strategy, fingerprint
+                )[0]
             context = DispatchContext(
                 shadow,
                 targets,

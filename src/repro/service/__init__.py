@@ -8,12 +8,11 @@ and a live worker pool -- resident between requests:
   that coalesces concurrent requests into micro-batches and dispatches them
   through the same :class:`~repro.compiler.pipeline.dispatch.BatchDispatcher`
   core as ``transpile_batch`` and the fleet sweep;
-* :class:`~repro.service.programcache.ProgramCache` -- content-addressed
-  compiled-program cache (memory LRU + shared disk store), the layer above
-  the target caches: warm repeats skip compilation entirely;
-* :class:`~repro.service.hotcache.TargetHotCache` -- bounded in-memory LRU
-  layered over the persistent on-disk
-  :class:`~repro.fleet.cache.TargetCache`;
+* two :class:`~repro.store.ContentStore` instances (memory LRU over an
+  optional shared disk directory): compiled programs
+  (:data:`~repro.service.programcache.PROGRAM_CODEC`), so warm repeats skip
+  compilation entirely, over per-device targets
+  (:data:`~repro.fleet.cache.TARGET_CODEC`);
 * :class:`~repro.service.net.ServiceServer` / ``ServiceClient`` -- a
   stdlib-only JSON-lines TCP protocol;
 * :mod:`~repro.service.loadgen` -- deterministic load generation shared by
@@ -40,15 +39,12 @@ or, from the shell: ``python -m repro.service serve`` /
 batching/caching semantics and the metrics schema.
 """
 
-from repro.service.hotcache import SOURCES, HotCacheStats, TargetHotCache
 from repro.service.loadgen import LoadSpec, run_phase_inprocess, run_phase_wire
 from repro.service.metrics import ServiceMetrics, percentiles
 from repro.service.net import OPS, ServiceClient, ServiceServer
 from repro.service.programcache import (
+    PROGRAM_CODEC,
     PROGRAM_SOURCES,
-    ProgramCache,
-    ProgramCacheStats,
-    ProgramStore,
     circuit_content_hash,
     program_cache_key,
 )
@@ -62,9 +58,6 @@ from repro.service.requests import (
 from repro.service.service import CompilationService, ServiceConfig
 
 __all__ = [
-    "SOURCES",
-    "HotCacheStats",
-    "TargetHotCache",
     "LoadSpec",
     "run_phase_inprocess",
     "run_phase_wire",
@@ -73,10 +66,8 @@ __all__ = [
     "OPS",
     "ServiceClient",
     "ServiceServer",
+    "PROGRAM_CODEC",
     "PROGRAM_SOURCES",
-    "ProgramCache",
-    "ProgramCacheStats",
-    "ProgramStore",
     "circuit_content_hash",
     "program_cache_key",
     "CalibrationUpdate",

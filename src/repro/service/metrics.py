@@ -108,10 +108,9 @@ class ServiceMetrics:
     ) -> dict:
         """The machine-readable metrics document.
 
-        ``cache`` optionally embeds the hot-cache layer counters (the service
-        passes its :meth:`TargetHotCache.as_dict`); ``programs`` likewise
-        embeds the compiled-program cache counters
-        (:meth:`ProgramCache.as_dict`).
+        ``cache`` and ``programs`` optionally embed the target and program
+        stores' :meth:`~repro.store.ContentStore.as_dict` snapshots (one
+        schema for both).
         """
         batch_sizes = list(self.batch_sizes)
         return {

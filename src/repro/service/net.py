@@ -19,19 +19,69 @@ Response lines::
 
 Malformed traffic (bad JSON, unknown ``op``, invalid request fields) is
 answered with ``ok: false`` and a client-readable message; the connection
-stays open.  ``shutdown`` asks the server to stop accepting and drain.
+stays open.  A request line longer than the stream limit (64 KiB) is
+answered the same way, but then that connection closes: the rest of the
+line is still unread, so the framing is lost.  ``shutdown`` asks the server
+to stop accepting and drain.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+from typing import Awaitable, Callable
 
 from repro.service.requests import RequestError
 from repro.service.service import CompilationService
 
 #: Operations the wire protocol understands.
 OPS = ("compile", "calibrate", "metrics", "ping", "shutdown")
+
+
+async def serve_json_lines(
+    reader: asyncio.StreamReader,
+    writer: asyncio.StreamWriter,
+    handle_line: Callable[[str], Awaitable[dict]],
+    connections: set[asyncio.StreamWriter],
+) -> None:
+    """The JSON-lines connection loop shared by every wire endpoint.
+
+    Reads one request per line, answers each with ``handle_line``'s
+    envelope, and stops after an envelope flagged ``shutdown``.  A line over
+    the reader's limit gets an ``ok: false`` answer and then the connection
+    closes, since the rest of that line cannot be told from the next
+    request.  ``connections`` tracks the live writers so the endpoint can
+    sever them on stop.
+    """
+    connections.add(writer)
+    try:
+        while True:
+            try:
+                line = await reader.readline()
+            except ValueError:  # line over the StreamReader limit
+                envelope = {
+                    "ok": False,
+                    "error": "request line exceeds the 64 KiB limit; "
+                    "connection closed",
+                }
+                writer.write((json.dumps(envelope) + "\n").encode("utf-8"))
+                await writer.drain()
+                return
+            if not line:
+                return
+            text = line.decode("utf-8", errors="replace").strip()
+            if not text:
+                continue
+            response = await handle_line(text)
+            writer.write((json.dumps(response) + "\n").encode("utf-8"))
+            await writer.drain()
+            if response.get("shutdown"):
+                return
+    except (ConnectionResetError, BrokenPipeError):
+        return  # client went away mid-exchange; nothing to answer
+    finally:
+        connections.discard(writer)
+        writer.close()
 
 
 class ServiceServer:
@@ -110,25 +160,7 @@ class ServiceServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self._connections.add(writer)
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    return
-                text = line.decode("utf-8", errors="replace").strip()
-                if not text:
-                    continue
-                response = await self._handle_line(text)
-                writer.write((json.dumps(response) + "\n").encode("utf-8"))
-                await writer.drain()
-                if response.get("shutdown"):
-                    return
-        except (ConnectionResetError, BrokenPipeError):
-            return  # client went away mid-exchange; nothing to answer
-        finally:
-            self._connections.discard(writer)
-            writer.close()
+        await serve_json_lines(reader, writer, self._handle_line, self._connections)
 
     async def _handle_line(self, text: str) -> dict:
         try:

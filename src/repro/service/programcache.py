@@ -1,8 +1,8 @@
-"""Content-addressed cache of *compiled programs* (per-strategy summaries).
+"""Compiled programs (per-strategy summaries) in the content-addressed store.
 
-The top layer of the service's cache hierarchy: while
-:class:`~repro.service.hotcache.TargetHotCache` caches the per-device basis
-gates that compilation consumes, this layer caches the *output* of the whole
+The top layer of the service's cache hierarchy: while the target store
+(:data:`~repro.fleet.cache.TARGET_CODEC`) caches the per-device basis gates
+that compilation consumes, this layer caches the *output* of the whole
 pipeline -- the per-strategy compiled summaries of one request -- so a warm
 repeat request skips layout, routing and translation entirely.
 
@@ -11,18 +11,15 @@ The key is content-addressed over everything the compiled output depends on::
     (circuit content hash, device fingerprint, strategies, mapping,
      layout/routing seed, per-strategy registry generations)
 
-which makes invalidation automatic, exactly like the fleet's on-disk
-:class:`~repro.fleet.cache.TargetCache`: drift the device and the new
-fingerprint never matches old entries; re-register a strategy and the
-generation changes likewise.  Eviction (``invalidate_fingerprint``) is
+which makes invalidation automatic, exactly like the target store: drift
+the device and the new fingerprint never matches old entries; re-register a
+strategy and the generation changes likewise.  Prefix eviction is
 bookkeeping that frees memory early -- correctness never depends on it.
 
-Two layers:
-
-* a bounded in-memory LRU (per service process);
-* an optional on-disk store sharing the fleet cache's flock/atomic-rename
-  machinery (:func:`repro.fleet.cache.entry_lock`), so cluster shards pointed
-  at one store directory share warm programs across processes and restarts.
+Programs live in a :class:`~repro.store.ContentStore` with
+:data:`PROGRAM_CODEC`: a bounded in-memory LRU (per service process) over an
+optional directory (``<cache_dir>/programs``), so cluster shards pointed at
+one store directory share warm programs across processes and restarts.
 
 Because the cached payload is the plain-data ``summarize_compiled`` dict
 (floats and ints, JSON round-trips exactly), a cache hit is byte-identical to
@@ -33,13 +30,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass
-from pathlib import Path
 
-from repro.fleet.cache import entry_lock
+from repro.store import Codec
 from repro.synthesis.depth import DEPTH_ORACLE_VERSION
 
 #: On-disk format version; bump when the stored layout changes incompatibly.
@@ -81,8 +73,8 @@ def program_cache_key(
 ) -> str:
     """The content-addressed key for one compiled program.
 
-    Leads with the device fingerprint so ``invalidate_fingerprint`` can use
-    the same prefix scan as the target hot cache.  The optimizer flag and
+    Leads with the device fingerprint so a calibration update can evict it
+    with the same prefix scan as the device's targets.  The optimizer flag and
     the coverage-set depth-oracle version are part of the addressed content:
     flipping ``optimize`` or revving the oracle re-keys every program, so
     stale entries can never be served (they become unreachable, exactly like
@@ -104,203 +96,29 @@ def program_cache_key(
     return f"{fingerprint}-p{digest}"
 
 
-@dataclass
-class ProgramCacheStats:
-    """Counters for one :class:`ProgramCache` instance."""
-
-    memory_hits: int = 0
-    disk_hits: int = 0
-    compiled: int = 0
-    invalidated: int = 0
-
-    @property
-    def lookups(self) -> int:
-        """Total lookups observed (each request probes the cache once)."""
-        return self.memory_hits + self.disk_hits + self.compiled
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from either cache layer."""
-        hits = self.memory_hits + self.disk_hits
-        return hits / self.lookups if self.lookups else 0.0
-
-    def as_dict(self) -> dict:
-        """Plain-data form for metrics snapshots and result files."""
-        return {
-            "memory_hits": self.memory_hits,
-            "disk_hits": self.disk_hits,
-            "compiled": self.compiled,
-            "invalidated": self.invalidated,
-            "hit_rate": self.hit_rate,
-        }
+def _decode_results(document: dict) -> dict:
+    """The stored results, accepted only as a dict of per-strategy summary
+    dicts keyed exactly by the echoed strategies (anything else is a miss,
+    never a request-path error or a wrong-shaped answer)."""
+    results = document["results"]
+    if not isinstance(results, dict) or sorted(results) != sorted(
+        document["strategies"]
+    ):
+        raise ValueError("program results do not match the echoed strategies")
+    if not all(isinstance(summary, dict) for summary in results.values()):
+        raise ValueError("program results must be per-strategy summary dicts")
+    return results
 
 
-class ProgramStore:
-    """On-disk program entries, one JSON file per key.
-
-    Reuses the fleet cache's concurrency discipline: writers scratch-write
-    and atomically rename under a per-entry flock
-    (:func:`~repro.fleet.cache.entry_lock`); readers stay lock-free and
-    treat absent, corrupt or mismatched files as misses.
-    """
-
-    def __init__(self, root: str | Path):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-
-    def path_for(self, key: str) -> Path:
-        """Where the entry for one program key lives."""
-        return self.root / f"{key}.json"
-
-    def load(self, key: str, expect: dict) -> dict | None:
-        """The stored results for a key, or None.
-
-        Every field of ``expect`` (fingerprint, circuit hash, ...) is
-        re-checked against the document's echo-back copy, so a hand-renamed
-        or partially-written file can never masquerade as a valid entry.
-        """
-        try:
-            data = json.loads(self.path_for(key).read_text())
-        except (OSError, ValueError):
-            return None
-        if data.get("format_version") != PROGRAM_CACHE_FORMAT_VERSION:
-            return None
-        for field_name, value in expect.items():
-            if data.get(field_name) != value:
-                return None
-        results = data.get("results")
-        if not isinstance(results, dict):
-            return None
-        return results
-
-    def store(self, key: str, results: dict, document: dict) -> Path:
-        """Persist one program; atomic against readers, locked against
-        concurrent writers of the same key."""
-        path = self.path_for(key)
-        payload = {"format_version": PROGRAM_CACHE_FORMAT_VERSION, **document}
-        payload["results"] = results
-        with entry_lock(path):
-            scratch = path.with_name(f"{path.name}.tmp{os.getpid()}")
-            scratch.write_text(json.dumps(payload))
-            os.replace(scratch, path)
-        return path
-
-    def entries(self) -> list[Path]:
-        """Every entry file currently in the store."""
-        return sorted(p for p in self.root.glob("*.json"))
-
-    def __len__(self) -> int:
-        return len(self.entries())
-
-    def clear(self) -> int:
-        """Delete every entry (plus orphaned scratch/lock files)."""
-        removed = 0
-        for path in self.entries():
-            path.unlink(missing_ok=True)
-            removed += 1
-        for scratch in self.root.glob("*.json.tmp*"):
-            scratch.unlink(missing_ok=True)
-        for lock in self.root.glob("*.json.lock"):
-            lock.unlink(missing_ok=True)
-        return removed
+def _copy_results(results: dict) -> dict:
+    # One level deep is enough: values are plain float/int summary dicts.
+    return {strategy: dict(summary) for strategy, summary in results.items()}
 
 
-class ProgramCache:
-    """Bounded in-memory LRU over an optional :class:`ProgramStore`.
-
-    Thread-safe: the service probes the memory layer from its event loop
-    (the fast path that skips the batch window entirely) and the disk layer
-    from executor threads.
-    """
-
-    def __init__(self, capacity: int = 512, store: ProgramStore | None = None):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = int(capacity)
-        self.store = store
-        self.stats = ProgramCacheStats()
-        self._lru: OrderedDict[str, dict] = OrderedDict()
-        self._lock = threading.Lock()
-
-    @staticmethod
-    def _copy(results: dict) -> dict:
-        # One level deep is enough: values are plain float/int summary dicts.
-        return {strategy: dict(summary) for strategy, summary in results.items()}
-
-    def _admit(self, key: str, results: dict) -> None:
-        self._lru[key] = self._copy(results)
-        self._lru.move_to_end(key)
-        while len(self._lru) > self.capacity:
-            self._lru.popitem(last=False)
-
-    def get_memory(self, key: str) -> dict | None:
-        """Memory-layer probe; counts a hit but never a miss (the caller
-        falls through to :meth:`get`, which settles the lookup)."""
-        with self._lock:
-            results = self._lru.get(key)
-            if results is None:
-                return None
-            self._lru.move_to_end(key)
-            self.stats.memory_hits += 1
-            return self._copy(results)
-
-    def get(self, key: str, expect: dict) -> tuple[dict | None, str]:
-        """Full lookup: memory, then disk; returns ``(results, source)``.
-
-        ``source`` is one of :data:`PROGRAM_SOURCES`; a miss returns
-        ``(None, "compiled")`` and counts as such.
-        """
-        hit = self.get_memory(key)
-        if hit is not None:
-            return hit, "program-mem"
-        if self.store is not None:
-            results = self.store.load(key, expect)
-            if results is not None:
-                with self._lock:
-                    self._admit(key, results)
-                    self.stats.disk_hits += 1
-                return self._copy(results), "program-disk"
-        with self._lock:
-            self.stats.compiled += 1
-        return None, "compiled"
-
-    def put(self, key: str, results: dict, document: dict) -> None:
-        """Admit a freshly compiled program to both layers."""
-        with self._lock:
-            self._admit(key, results)
-        if self.store is not None:
-            self.store.store(key, results, document)
-
-    def invalidate_fingerprint(self, fingerprint: str) -> int:
-        """Evict every memory entry for one device fingerprint.
-
-        Disk entries stay: their keys embed the stale fingerprint, so they
-        can never be served again (content-addressing is the correctness
-        mechanism; this eviction just frees memory early).
-        """
-        prefix = f"{fingerprint}-"
-        with self._lock:
-            stale = [key for key in self._lru if key.startswith(prefix)]
-            for key in stale:
-                del self._lru[key]
-            self.stats.invalidated += len(stale)
-            return len(stale)
-
-    def clear(self) -> None:
-        """Drop the memory layer (the disk store is left untouched)."""
-        with self._lock:
-            self._lru.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._lru)
-
-    def as_dict(self) -> dict:
-        """Snapshot for ``metrics_snapshot()`` / benchmark documents."""
-        with self._lock:
-            return {
-                "entries": len(self._lru),
-                "capacity": self.capacity,
-                "disk_entries": len(self.store) if self.store is not None else 0,
-                **self.stats.as_dict(),
-            }
+#: Callers get copies: responses hand results to clients, who may mutate them.
+PROGRAM_CODEC = Codec(
+    PROGRAM_CACHE_FORMAT_VERSION,
+    lambda results: {"results": results},
+    _decode_results,
+    _copy_results,
+)

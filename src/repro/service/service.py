@@ -4,8 +4,9 @@
 dispatch core.  Requests (:class:`~repro.service.requests.CompileRequest`)
 arrive one at a time via :meth:`CompilationService.compile`; the service
 
-1. **serves warm programs** -- a content-addressed
-   :class:`~repro.service.programcache.ProgramCache` keyed on (circuit
+1. **serves warm programs** -- a content-addressed program store
+   (:class:`~repro.store.ContentStore` with
+   :data:`~repro.service.programcache.PROGRAM_CODEC`) keyed on (circuit
    hash, device fingerprint, strategies, mapping, seed, registry
    generations) returns repeat requests without compiling at all; every
    :class:`~repro.service.requests.CompileResponse` reports which layer
@@ -15,10 +16,9 @@ arrive one at a time via :meth:`CompilationService.compile`; the service
    share a batch key (device, strategies, mapping, seed) compile together
    through one :class:`~repro.compiler.pipeline.dispatch.DispatchContext`;
 3. **serves targets hot** -- each batch's per-strategy ``Target`` /
-   ``CostModel`` snapshots come from the bounded in-memory
-   :class:`~repro.service.hotcache.TargetHotCache` layered over the on-disk
-   fleet :class:`~repro.fleet.cache.TargetCache`, so repeated traffic for
-   the same (device, strategy) never rebuilds a target;
+   ``CostModel`` snapshots come from the target store's memory LRU over its
+   optional disk layer (:func:`~repro.fleet.cache.get_target`), so repeated
+   traffic for the same (device, strategy) never rebuilds a target;
 4. **dispatches** to one *persistent* worker pool
    (:class:`~repro.compiler.pipeline.dispatch.BatchDispatcher`) that
    survives across batches -- the same core ``transpile_batch`` and the
@@ -50,16 +50,14 @@ from repro.compiler.pipeline.dispatch import (
     DispatchContext,
 )
 from repro.compiler.pipeline.registry import REGISTRY
-from repro.compiler.pipeline.target import build_target
 from repro.device.device import Device
+from repro.fleet.cache import TARGET_CODEC, get_target
 from repro.fleet.spec import TopologySpec
 from repro.fleet.devices import device_fingerprint, make_device
 from repro.fleet.sweep import build_circuit
-from repro.service.hotcache import TargetHotCache
 from repro.service.metrics import ServiceMetrics
 from repro.service.programcache import (
-    ProgramCache,
-    ProgramStore,
+    PROGRAM_CODEC,
     circuit_content_hash,
     program_cache_key,
 )
@@ -70,6 +68,7 @@ from repro.service.requests import (
     RequestError,
     summarize_compiled,
 )
+from repro.store import ContentStore
 from repro.synthesis.depth import DEPTH_ORACLE_VERSION
 
 
@@ -78,7 +77,8 @@ class ServiceConfig:
     """Tunables of one :class:`CompilationService`.
 
     Attributes:
-        cache_dir: on-disk target cache directory (None = memory-only).
+        cache_dir: on-disk store directory for targets (programs go under
+            ``programs/``); None = memory-only.
         target_capacity: bound of the in-memory hot target LRU.
         device_capacity: bound of the simulated-device LRU.
         executor: worker-pool flavour when ``max_workers > 1``
@@ -152,22 +152,20 @@ class CompilationService:
 
     def __init__(self, config: ServiceConfig | None = None):
         self.config = config or ServiceConfig()
-        self.hot_targets = TargetHotCache(
-            capacity=self.config.target_capacity, cache_dir=self.config.cache_dir
+        cache_dir = self.config.cache_dir
+        self.hot_targets = ContentStore(
+            TARGET_CODEC, self.config.target_capacity, cache_dir
         )
         self.dispatcher = BatchDispatcher(
             executor=self.config.executor, max_workers=self.config.max_workers
         )
         self.metrics = ServiceMetrics()
-        self.programs: ProgramCache | None = None
+        self.programs: ContentStore | None = None
         if self.config.program_cache:
-            store = (
-                ProgramStore(Path(self.config.cache_dir) / "programs")
-                if self.config.cache_dir
-                else None
-            )
-            self.programs = ProgramCache(
-                capacity=self.config.program_capacity, store=store
+            self.programs = ContentStore(
+                PROGRAM_CODEC,
+                self.config.program_capacity,
+                Path(cache_dir) / "programs" if cache_dir else None,
             )
         self._devices: OrderedDict[tuple, tuple[Device, str]] = OrderedDict()
         self._circuits: dict[str, object] = {}
@@ -362,10 +360,11 @@ class CompilationService:
                     update.prewarm, prewarm_requests, drifted, new_fingerprint
                 )
             # The swap: from here on every lookup sees the new fingerprint.
+            stale = f"{old_fingerprint}-"
             with self._state_lock:
-                evicted = self.hot_targets.invalidate_fingerprint(old_fingerprint)
+                evicted = self.hot_targets.invalidate_prefix(stale)
                 programs_evicted = (
-                    self.programs.invalidate_fingerprint(old_fingerprint)
+                    self.programs.invalidate_prefix(stale)
                     if self.programs is not None
                     else 0
                 )
@@ -412,22 +411,20 @@ class CompilationService:
     ) -> dict:
         """Rebuild the working set for a new fingerprint, off the request path.
 
-        ``drifted`` is private to the calibration update until the swap, so
-        target builds here touch no shared state; installation goes through
-        :meth:`TargetHotCache.put` (disk write + short locked LRU admit).
-        Program pre-compiles reuse the dispatcher with the same context key
-        shape as the compile path, so the worker pool they warm is exactly
-        the one post-swap traffic reuses.
+        ``drifted`` is private to the calibration update until the swap, and
+        no request can look up its fingerprint before then, so the targets
+        resolve through the store's own locked get-or-build without
+        ``_state_lock``.  Over a shared directory, sibling shards given the
+        same calibration build each target once between them; the rest read
+        it from disk.  Program pre-compiles reuse the dispatcher with the
+        same context key shape as the compile path, so the worker pool they
+        warm is exactly the one post-swap traffic reuses.
         """
         started = time.perf_counter()
-        targets: dict[str, object] = {}
-        for strategy in spec.strategies:
-            target = build_target(drifted, strategy).complete()
-            target.cost_model()
-            targets[strategy] = target
-        with self._state_lock:
-            for strategy, target in targets.items():
-                self.hot_targets.put(drifted, strategy, target, fingerprint)
+        targets = {
+            strategy: get_target(self.hot_targets, drifted, strategy, fingerprint)[0]
+            for strategy in spec.strategies
+        }
         programs_warmed = 0
         if requests and self.programs is not None:
             generations = tuple(
@@ -693,8 +690,9 @@ class CompilationService:
                 )
                 program_keys[index] = program_key
                 documents[index] = document
-                results, source = self.programs.get(program_key, document)
+                results, layer = self.programs.get(program_key, document)
                 if results is not None:
+                    source = "program-mem" if layer == "memory" else "program-disk"
                     served[index] = (results, source)
         lookup_done = time.perf_counter()
         lookup_ms = (lookup_done - start) * 1000.0
@@ -708,11 +706,9 @@ class CompilationService:
                 # One build at a time: concurrent groups must not race the
                 # device's lazy calibration caches for the same cold target.
                 for strategy in request.strategies:
-                    target, source = self.hot_targets.get(
-                        device, strategy, fingerprint
+                    targets[strategy], sources[strategy] = get_target(
+                        self.hot_targets, device, strategy, fingerprint
                     )
-                    targets[strategy] = target
-                    sources[strategy] = source
             # The pool-reuse key mirrors target_cache_key: device fingerprint
             # AND per-strategy registry generations, so re-registering a
             # strategy rotates the process pool (whose workers hold

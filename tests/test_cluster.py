@@ -241,14 +241,17 @@ class TestClusterMetrics:
         shard_doc = {
             "requests": {"ok": 4, "failed": 1, "calibrations": 2},
             "batches": {"total": 3, "cells_total": 6},
-            "cache": {"memory_hits": 5, "disk_hits": 1, "builds": 2},
+            "cache": {"memory_hits": 5, "disk_hits": 1, "misses": 2},
         }
         totals = ClusterMetrics.aggregate_shards(
             {"shard-0": shard_doc, "shard-1": shard_doc, "shard-2": None}
         )
         assert totals["requests_ok"] == 8
         assert totals["batches_total"] == 6
-        assert totals["cache"] == {"memory_hits": 10, "disk_hits": 2, "builds": 4}
+        assert totals["cache"] == {
+            "memory_hits": 10, "disk_hits": 2, "misses": 4, "invalidated": 0,
+        }
+        assert totals["programs"] == dict.fromkeys(totals["cache"], 0)
 
 
 # -- unit: drift wire bridge --------------------------------------------------
@@ -423,6 +426,31 @@ class TestClusterRouting:
         assert metrics["aggregate"]["requests_ok"] >= 0
         assert not bad["ok"] and "unknown op" in bad["error"]
         assert not malformed["ok"]  # shard-side validation passes through
+
+    def test_oversize_line_is_answered_then_closed(self, cluster):
+        """The front end answers a line over the 64 KiB stream limit with
+        ``ok: false`` and closes only that connection."""
+
+        async def scenario():
+            reader, writer = await asyncio.open_connection(
+                cluster.host, cluster.port
+            )
+            writer.write(b'{"op": "ping", "pad": "' + b"x" * 70_000 + b'"}\n')
+            await writer.drain()
+            answer = json.loads(await reader.readline())
+            try:
+                rest = await reader.read()
+            except ConnectionResetError:  # closed with the line's tail unread
+                rest = b""
+            writer.close()
+            async with ServiceClient(cluster.host, cluster.port) as client:
+                pong = await client.request({"op": "ping"})
+            return answer, rest, pong
+
+        answer, rest, pong = cluster.call(scenario())
+        assert answer["ok"] is False and "64 KiB" in answer["error"]
+        assert rest == b""
+        assert pong == {"ok": True, "result": "pong"}
 
     def test_tenant_tag_is_validated_and_stripped(self, cluster):
         async def scenario():
@@ -778,7 +806,7 @@ class TestClusterResilience:
         phase, snapshot = cluster.call(scenario())
         assert phase["errors"] == 0
         cache = snapshot["aggregate"]["cache"]
-        assert cache["builds"] == 0, "warm store must serve without rebuilding"
+        assert cache["misses"] == 0, "warm store must serve without rebuilding"
         # The shared *program* store answers the repeat traffic outright --
         # the fresh shards never even rebuild targets from the target store.
         programs = snapshot["aggregate"]["programs"]

@@ -16,12 +16,18 @@ from repro.core.basis_selection import _cnot_layer_count, available_strategies
 from repro.core.regions import (
     cnot2_feasible_volume_fraction,
     exact_infeasible_volume_fractions,
+    intersection_volume_fraction,
     mirror_trajectory,
     swap2_segments,
     swap3_feasible_volume_fraction,
 )
 from repro.hamiltonian.effective import EffectiveEntanglerModel
-from repro.synthesis.depth import TwoLayerOracle, can_synthesize_swap_in_3_layers
+from repro.synthesis.depth import (
+    TwoLayerOracle,
+    can_synthesize_cnot_in_2_layers,
+    can_synthesize_swap_in_3_layers,
+)
+from repro.weyl.chamber import chamber_volume_fraction
 from repro.weyl.entangling_power import is_perfect_entangler
 
 
@@ -180,6 +186,25 @@ class TestRegionSummaries:
     def test_volume_fractions_match_paper(self):
         assert swap3_feasible_volume_fraction(8000) == pytest.approx(0.685, abs=0.03)
         assert cnot2_feasible_volume_fraction(8000) == pytest.approx(0.75, abs=0.03)
+
+    @pytest.mark.parametrize("n_samples, seed", [(3000, 1234), (2000, 7)])
+    def test_masked_fractions_equal_the_scalar_predicates(self, n_samples, seed):
+        """The vectorized masks reproduce the per-point loop bit for bit."""
+
+        def scalar(predicate):
+            rng = np.random.default_rng(seed)
+            return chamber_volume_fraction(predicate, n_samples, rng)
+
+        assert swap3_feasible_volume_fraction(n_samples, seed) == scalar(
+            can_synthesize_swap_in_3_layers
+        )
+        assert cnot2_feasible_volume_fraction(n_samples, seed) == scalar(
+            can_synthesize_cnot_in_2_layers
+        )
+        assert intersection_volume_fraction(n_samples, seed) == scalar(
+            lambda c: can_synthesize_swap_in_3_layers(c)
+            and can_synthesize_cnot_in_2_layers(c)
+        )
 
     def test_exact_fractions(self):
         exact = exact_infeasible_volume_fractions()

@@ -30,9 +30,9 @@ from repro.drift import (
 )
 from repro.drift.__main__ import main as drift_main
 from repro.fleet import TopologySpec, device_fingerprint
-from repro.fleet.cache import TargetCache
+from repro.fleet.cache import TARGET_CODEC, get_target
 from repro.fleet.sweep import build_circuit
-from repro.service.hotcache import TargetHotCache
+from repro.store import ContentStore
 
 
 def make_device(seed=11, topology="linear:4", **params):
@@ -273,24 +273,26 @@ class TestStalenessEdges:
 
     def test_warm_disk_cache_misses_after_drift(self, tmp_path):
         device = make_device()
-        cache = TargetCache(tmp_path)
-        cache.get_or_build(device, "criterion2")
-        assert cache.load(device, "criterion2") is not None  # warm
+        get_target(ContentStore(TARGET_CODEC, 4, tmp_path), device, "criterion2")
+        warm = ContentStore(TARGET_CODEC, 4, tmp_path)
+        assert get_target(warm, device, "criterion2")[1] == "disk"
         apply_drift(device, [parse_drift_model("ou:sigma_ghz=0.05")], 1, drift_seed=3)
-        assert cache.load(device, "criterion2") is None  # drifted key: miss
-        rebuilt = cache.get_or_build(device, "criterion2")
-        assert cache.load(device, "criterion2") == rebuilt  # re-warm at new key
+        rebuilt, source = get_target(warm, device, "criterion2")
+        assert source == "built"  # drifted key: miss
+        fresh = ContentStore(TARGET_CODEC, 4, tmp_path)
+        assert get_target(fresh, device, "criterion2") == (rebuilt, "disk")
 
     def test_hot_cache_invalidate_fingerprint(self, tmp_path):
-        hot = TargetHotCache(capacity=8, cache_dir=tmp_path)
+        hot = ContentStore(TARGET_CODEC, 8, tmp_path)
         device = make_device()
         fingerprint = device_fingerprint(device)
-        hot.get(device, "criterion2", fingerprint)
-        hot.get(device, "baseline", fingerprint)
+        get_target(hot, device, "criterion2", fingerprint)
+        get_target(hot, device, "baseline", fingerprint)
         assert len(hot) == 2
-        assert hot.invalidate_fingerprint(fingerprint) == 2
+        assert hot.invalidate_prefix(f"{fingerprint}-") == 2
         assert len(hot) == 0
-        assert hot.invalidate_fingerprint(fingerprint) == 0  # idempotent
+        assert hot.invalidate_prefix(f"{fingerprint}-") == 0  # idempotent
+        assert hot.stats.invalidated == 2
 
     def test_process_pool_rotates_on_drifted_context_key(self):
         """A pickled worker holding a pre-drift target is re-initialized,
@@ -401,7 +403,7 @@ class TestDriftSpecAndSweep:
         assert [r.epoch for r in never.epochs] == [0, 1, 2]
         assert never.recalibrations == 0
         assert never.epochs[0].action == "none"
-        assert never.epochs[0].cache["builds"] == 1  # initial calibration
+        assert never.epochs[0].cache["misses"] == 1  # initial calibration
         assert never.epochs[1].drift_events[0].model == "ou"
         assert never.epochs[-1].predicted_loss_mean > 0
 
@@ -409,10 +411,12 @@ class TestDriftSpecAndSweep:
         assert always.recalibrations == 2
         # policy 'never' ran first and populated the shared disk cache only
         # for the *initial* fingerprint; 'always' hits disk there and builds
-        # (disk misses) for each drifted fingerprint -- content addressing.
-        assert always.epochs[0].cache["disk_layer_hits"] == 1
-        assert always.epochs[1].cache["disk_layer_misses"] == 1
-        assert always.epochs[1].cache["builds"] == 1
+        # (misses) for each drifted fingerprint -- content addressing.
+        assert always.epochs[0].cache["disk_hits"] == 1
+        assert always.epochs[1].cache["misses"] == 1
+        assert always.epochs[1].cache == {
+            "memory_hits": 0, "disk_hits": 0, "misses": 1, "invalidated": 0,
+        }
         assert always.epochs[1].target_sources == {"criterion2": "built"}
 
         selective = result.runs["selective:1e-06"]

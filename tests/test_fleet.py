@@ -2,7 +2,7 @@
 
 Covers the heavy-hex structural invariants, ``qubit_position`` edge cases,
 ``TopologySpec``/``FleetSpec`` validation, device fingerprints, the
-persistent :class:`TargetCache` (including its invalidation semantics), the
+persistent target store (including its invalidation semantics), the
 ``run_sweep`` cold/warm behaviour required by the acceptance criteria, and
 the ``python -m repro.fleet`` CLI.
 """
@@ -26,21 +26,40 @@ from repro.device.topology import (
 from repro.compiler.pipeline import REGISTRY, register_strategy
 from repro.core.basis_selection import PredicateStrategy
 from repro.fleet import (
+    TARGET_CODEC,
     FleetSpec,
-    TargetCache,
     TopologySpec,
     build_circuit,
     build_device,
     device_fingerprint,
     fleet_scenarios,
+    get_target,
     run_sweep,
 )
 from repro.fleet.__main__ import main as fleet_main
+from repro.fleet.cache import target_cache_key
+from repro.store import ContentStore
 from repro.synthesis.depth import can_synthesize_swap_in_3_layers
 
 
 def _linear_device(length: int = 3, seed: int = 5) -> Device:
     return Device(graph=linear_graph(length), params=DeviceParameters(seed=seed))
+
+
+def _store(root, capacity: int = 8) -> ContentStore:
+    """A target store over ``root``; a new one models a later process."""
+    return ContentStore(TARGET_CODEC, capacity, root)
+
+
+def _entry(device, strategy: str) -> tuple[str, dict]:
+    """The key and echo fields of one (device, strategy) target entry."""
+    fingerprint = device_fingerprint(device)
+    echo = {
+        "fingerprint": fingerprint,
+        "strategy": strategy,
+        "generation": REGISTRY.generation(strategy),
+    }
+    return target_cache_key(device, strategy, fingerprint), echo
 
 
 class TestHeavyHexTopology:
@@ -275,14 +294,16 @@ class TestDeviceFingerprint:
 class TestTargetCache:
     def test_miss_then_hit_round_trip(self, tmp_path):
         device = _linear_device()
-        cache = TargetCache(tmp_path)
-        built = cache.get_or_build(device, "criterion2")
-        assert cache.stats.misses == 1 and cache.stats.hits == 0
-        assert len(cache) == 1
+        cache = _store(tmp_path)
+        built, source = get_target(cache, device, "criterion2")
+        assert source == "built"
+        assert cache.stats.misses == 1 and cache.stats.disk_hits == 0
+        assert len(cache.entries()) == 1
 
-        fresh = TargetCache(tmp_path)  # simulates a later process
-        loaded = fresh.get_or_build(device, "criterion2")
-        assert fresh.stats.hits == 1 and fresh.stats.misses == 0
+        fresh = _store(tmp_path)  # simulates a later process
+        loaded, source = get_target(fresh, device, "criterion2")
+        assert source == "disk"
+        assert fresh.stats.disk_hits == 1 and fresh.stats.misses == 0
         assert loaded == built  # exact float round trip through JSON
         # The hit is detached and complete: usable without touching the device.
         assert len(loaded.selections) == len(device.edges())
@@ -290,32 +311,34 @@ class TestTargetCache:
 
     def test_distinct_strategies_get_distinct_entries(self, tmp_path):
         device = _linear_device()
-        cache = TargetCache(tmp_path)
-        cache.get_or_build(device, "baseline")
-        cache.get_or_build(device, "criterion2")
-        assert len(cache) == 2
+        cache = _store(tmp_path)
+        get_target(cache, device, "baseline")
+        get_target(cache, device, "criterion2")
+        assert len(cache.entries()) == 2
         assert cache.stats.misses == 2
 
     def test_corrupt_entry_is_a_miss_and_gets_rebuilt(self, tmp_path):
         device = _linear_device()
-        cache = TargetCache(tmp_path)
-        cache.get_or_build(device, "criterion2")
-        [entry] = cache.entries()
+        get_target(_store(tmp_path), device, "criterion2")
+        [entry] = _store(tmp_path).entries()
         entry.write_text("{ not json")
-        fresh = TargetCache(tmp_path)
-        rebuilt = fresh.get_or_build(device, "criterion2")
-        assert fresh.stats.misses == 1
+        fresh = _store(tmp_path)
+        rebuilt, source = get_target(fresh, device, "criterion2")
+        assert source == "built" and fresh.stats.misses == 1
         assert rebuilt.selections
         # The rebuilt entry replaced the corrupt one and now loads cleanly.
-        assert TargetCache(tmp_path).load(device, "criterion2") is not None
+        key, echo = _entry(device, "criterion2")
+        assert _store(tmp_path).get(key, echo)[1] == "disk"
 
     def test_device_mutation_invalidates(self, tmp_path):
         device = _linear_device()
-        cache = TargetCache(tmp_path)
-        cache.get_or_build(device, "criterion2")
+        cache = _store(tmp_path)
+        get_target(cache, device, "criterion2")
         device.frequencies[0] += 0.1
         device.invalidate_calibrations()
-        assert cache.load(device, "criterion2") is None  # different fingerprint
+        key, echo = _entry(device, "criterion2")
+        assert _store(tmp_path).get(key, echo) == (None, None)  # new fingerprint
+        assert get_target(cache, device, "criterion2")[1] == "built"
         assert cache.stats.misses == 2  # initial build + this lookup
 
     def test_registry_generation_invalidates(self, tmp_path):
@@ -325,45 +348,60 @@ class TestTargetCache:
             lambda: PredicateStrategy(name, can_synthesize_swap_in_3_layers)
         )
         try:
-            cache = TargetCache(tmp_path)
-            cache.get_or_build(device, name)
-            assert cache.load(device, name) is not None
+            get_target(_store(tmp_path), device, name)
+            assert get_target(_store(tmp_path), device, name)[1] == "disk"
             register_strategy(name, overwrite=True)(
                 lambda: PredicateStrategy(name, can_synthesize_swap_in_3_layers)
             )
             # New generation -> new key -> the old entry is never served.
-            assert cache.load(device, name) is None
+            key, echo = _entry(device, name)
+            assert _store(tmp_path).get(key, echo) == (None, None)
         finally:
             REGISTRY.unregister(name)
 
     def test_sanitized_strategy_names_do_not_collide(self, tmp_path):
         """Names that sanitize to the same filename must get distinct keys."""
         device = _linear_device()
-        cache = TargetCache(tmp_path)
-        key_at = cache.cache_key(device, "crit@v2")
-        key_under = cache.cache_key(device, "crit_v2")
+        key_at = target_cache_key(device, "crit@v2")
+        key_under = target_cache_key(device, "crit_v2")
         assert key_at != key_under
         assert "@" not in key_at  # still filesystem-safe
 
     def test_renamed_entry_is_rejected(self, tmp_path):
         """A file under the wrong key must not pass the stored-metadata check."""
         device = _linear_device()
-        cache = TargetCache(tmp_path)
-        cache.get_or_build(device, "baseline")
+        cache = _store(tmp_path)
+        get_target(cache, device, "baseline")
         [entry] = cache.entries()
-        entry.rename(cache.path_for(device, "criterion2"))
-        assert TargetCache(tmp_path).load(device, "criterion2") is None
+        key, echo = _entry(device, "criterion2")
+        entry.rename(cache.path_for(key))
+        assert _store(tmp_path).get(key, echo) == (None, None)
+
+    def test_entries_are_byte_stable(self, tmp_path):
+        """The on-disk layout: format version, echo fields, then payload."""
+        device = _linear_device()
+        target, _ = get_target(_store(tmp_path), device, "baseline")
+        [entry] = _store(tmp_path).entries()
+        key, echo = _entry(device, "baseline")
+        assert entry.name == f"{key}.json"
+        expected = {
+            "format_version": TARGET_CODEC.format_version,
+            **echo,
+            "target": target.to_dict(),
+            "cost_model": target.cost_model().to_dict(),
+        }
+        assert entry.read_text() == json.dumps(expected)
 
     def test_clear_sweeps_orphaned_scratch_files(self, tmp_path):
         device = _linear_device()
-        cache = TargetCache(tmp_path)
-        cache.get_or_build(device, "baseline")
+        cache = _store(tmp_path)
+        get_target(cache, device, "baseline")
         # Simulate a writer killed between write_text and the atomic rename.
         orphan = tmp_path / "deadbeef-criterion2-g0.json.tmp12345"
         orphan.write_text("{")
-        assert len(cache) == 1  # scratch files never count as entries
+        assert len(cache.entries()) == 1  # scratch files never count as entries
         assert cache.clear() == 1
-        assert len(cache) == 0
+        assert cache.entries() == [] and len(cache) == 0
         assert not orphan.exists()
 
 
@@ -382,11 +420,11 @@ class TestRunSweep:
         spec = replace(TINY_SPEC, cache_dir=str(tmp_path / "cache"))
         cold = run_sweep(spec)
         assert cold.cache_stats["misses"] == spec.device_count * len(spec.strategies)
-        assert cold.cache_stats["hits"] == 0
+        assert cold.cache_stats["disk_hits"] == 0
 
         warm = run_sweep(spec)
         # The acceptance criterion: 100% of (device, strategy) cells hit.
-        assert warm.cache_stats["hits"] == spec.device_count * len(spec.strategies)
+        assert warm.cache_stats["disk_hits"] == spec.device_count * len(spec.strategies)
         assert warm.cache_stats["misses"] == 0
         assert warm.cache_stats["hit_rate"] == 1.0
         # And the warm (detached-target) results are byte-identical.
@@ -439,7 +477,7 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="linear:4"):
             run_sweep(spec)
         # Validated up front: no device was built, calibrated or cached.
-        assert len(TargetCache(tmp_path / "cache")) == 0
+        assert _store(tmp_path / "cache").entries() == []
 
     def test_unknown_strategy_is_diagnosed(self):
         spec = replace(TINY_SPEC, strategies=("baseline", "nope"), draws=1)
@@ -495,12 +533,12 @@ class TestTargetCacheConcurrency:
 
         def worker():
             try:
-                # Own Device and own TargetCache instance per thread: models
+                # Own Device and own store instance per thread: models
                 # independent processes racing one shared store directory.
                 device = _linear_device()
-                cache = TargetCache(tmp_path)
+                cache = _store(tmp_path)
                 barrier.wait()
-                results.append(cache.get_or_build(device, "criterion2"))
+                results.append(get_target(cache, device, "criterion2")[0])
             except Exception as error:  # noqa: BLE001 - surfaced via assert
                 failures.append(error)
 
@@ -513,7 +551,7 @@ class TestTargetCacheConcurrency:
         assert len(results) == 6
         # The entry lock makes the losers wait and re-read, not rebuild.
         assert build_calls == ["criterion2"]
-        assert len(TargetCache(tmp_path)) == 1
+        assert len(_store(tmp_path).entries()) == 1
         reference = results[0].to_dict()
         assert all(target.to_dict() == reference for target in results[1:])
 
@@ -521,23 +559,22 @@ class TestTargetCacheConcurrency:
         import threading
 
         device = _linear_device()
-        cache = TargetCache(tmp_path)
-        target = cache.get_or_build(device, "baseline")
-        fingerprint = device_fingerprint(device)
+        target, _ = get_target(_store(tmp_path), device, "baseline")
+        key, echo = _entry(device, "baseline")
         stop = threading.Event()
         torn = []
 
         def writer():
-            own = TargetCache(tmp_path)
+            own = _store(tmp_path)
             for _ in range(25):
-                own.store(device, "baseline", target, fingerprint)
+                own.put(key, target, echo)
 
         def reader():
-            own = TargetCache(tmp_path)
             while not stop.is_set():
                 # Atomic rename: a reader must always see a whole, valid
-                # entry -- None here would mean a torn or half-renamed file.
-                if own.load(device, "baseline", fingerprint) is None:
+                # entry -- a miss here would mean a torn or half-renamed
+                # file.  A fresh store per read keeps the disk layer in play.
+                if _store(tmp_path).get(key, echo)[0] is None:
                     torn.append(True)
                     return
 
@@ -551,14 +588,14 @@ class TestTargetCacheConcurrency:
         for thread in readers:
             thread.join(timeout=120)
         assert torn == []
-        assert len(cache) == 1
-        assert TargetCache(tmp_path).load(device, "baseline", fingerprint) is not None
+        assert len(_store(tmp_path).entries()) == 1
+        assert _store(tmp_path).get(key, echo)[1] == "disk"
 
     def test_clear_sweeps_lock_sidecars(self, tmp_path):
         device = _linear_device()
-        cache = TargetCache(tmp_path)
-        cache.get_or_build(device, "baseline")
+        cache = _store(tmp_path)
+        get_target(cache, device, "baseline")
         assert list(tmp_path.glob("*.json.lock"))  # writer left its sidecar
         cache.clear()
         assert not list(tmp_path.glob("*.json.lock"))
-        assert len(cache) == 0
+        assert cache.entries() == []

@@ -44,7 +44,8 @@ from repro.compiler.cost import MAPPING_REGISTRY
 from repro.compiler.pipeline import compile_with_targets
 from repro.device import Device, DeviceParameters
 from repro.device.topology import heavy_hex_graph
-from repro.fleet import FleetSpec, TargetCache, TopologySpec, run_sweep
+from repro.fleet import TARGET_CODEC, FleetSpec, TopologySpec, get_target, run_sweep
+from repro.store import ContentStore
 from repro.synthesis.library import layered_duration
 
 STRATEGIES = ("baseline", "criterion1", "criterion2")
@@ -753,13 +754,13 @@ class TestBasisAwarePipeline:
 class TestCachePersistsCostModels:
     def test_cache_round_trips_cost_model(self, tmp_path):
         device = Device.from_parameters(DeviceParameters(rows=1, cols=4, seed=53))
-        cache = TargetCache(tmp_path)
-        built = cache.get_or_build(device, "criterion2")
+        cache = ContentStore(TARGET_CODEC, 4, tmp_path)
+        built, _ = get_target(cache, device, "criterion2")
         expected = built.cost_model()
 
-        fresh = TargetCache(tmp_path)
-        loaded = fresh.get_or_build(device, "criterion2")
-        assert fresh.stats.hits == 1
+        fresh = ContentStore(TARGET_CODEC, 4, tmp_path)
+        loaded, _ = get_target(fresh, device, "criterion2")
+        assert fresh.stats.disk_hits == 1
         # The attached model is served from disk, not re-derived...
         assert getattr(loaded, "_cost_model", None) is not None
         # ...and is float-exact against the freshly derived one.
@@ -769,15 +770,15 @@ class TestCachePersistsCostModels:
         """Pre-v2 entries (no cost_model payload) must be rebuilt, not
         half-loaded."""
         device = Device.from_parameters(DeviceParameters(rows=1, cols=4, seed=53))
-        cache = TargetCache(tmp_path)
-        cache.get_or_build(device, "criterion2")
+        cache = ContentStore(TARGET_CODEC, 4, tmp_path)
+        get_target(cache, device, "criterion2")
         [entry] = cache.entries()
         data = json.loads(entry.read_text())
         del data["cost_model"]
         entry.write_text(json.dumps(data))
-        fresh = TargetCache(tmp_path)
-        assert fresh.load(device, "criterion2") is None
-        rebuilt = fresh.get_or_build(device, "criterion2")
+        fresh = ContentStore(TARGET_CODEC, 4, tmp_path)
+        rebuilt, source = get_target(fresh, device, "criterion2")
+        assert source == "built" and fresh.stats.disk_hits == 0
         assert getattr(rebuilt, "_cost_model", None) is not None
 
 

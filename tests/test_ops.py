@@ -243,6 +243,40 @@ class TestServicePrewarm:
         assert after.program_source == "program-mem"
         assert before.fingerprint == report["old_fingerprint"]
 
+    def test_shards_sharing_a_store_build_each_prewarm_target_once(
+        self, tmp_path, monkeypatch
+    ):
+        """The calibrate fan-out sends one prewarm to every shard; over one
+        store directory the drifted targets are built once in total."""
+        from repro.compiler.pipeline.target import Target
+
+        built = []
+        real_from_device = Target.from_device.__func__
+
+        def counted(cls, device, strategy):
+            built.append(strategy)  # every target build starts here
+            return real_from_device(cls, device, strategy)
+
+        monkeypatch.setattr(Target, "from_device", classmethod(counted))
+        update = {
+            "topology": "linear:4",
+            "frequency_shifts": {"0": 0.02},
+            "prewarm": {"strategies": ["baseline", "criterion2"]},
+        }
+
+        async def scenario():
+            config = ServiceConfig(cache_dir=str(tmp_path))
+            reports = []
+            for _ in range(2):
+                async with CompilationService(config) as shard:
+                    reports.append(await shard.calibrate(dict(update)))
+            return reports
+
+        first, second = run(scenario())
+        assert first["new_fingerprint"] == second["new_fingerprint"]
+        assert first["prewarm"]["targets"] == second["prewarm"]["targets"] == 2
+        assert sorted(built) == ["baseline", "criterion2"]
+
     def test_prewarm_parses_and_rejects_like_requests(self):
         update = CalibrationUpdate.from_dict(
             {

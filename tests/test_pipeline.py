@@ -400,7 +400,7 @@ class TestTargetRoundTrip:
         device = family_devices[family]
         target = build_target(device, strategy)
         # Through real JSON text, not just the dict: float exactness must
-        # survive the serialization the on-disk TargetCache actually uses.
+        # survive the serialization the on-disk target store actually uses.
         import json
 
         clone = Target.from_dict(json.loads(json.dumps(target.to_dict())))

@@ -18,15 +18,14 @@ import pytest
 
 from repro.fleet.sweep import build_circuit
 from repro.service import (
-    PROGRAM_SOURCES,
+    PROGRAM_CODEC,
     CompilationService,
-    ProgramCache,
-    ProgramStore,
     ServiceConfig,
     circuit_content_hash,
     program_cache_key,
 )
 from repro.service.programcache import PROGRAM_CACHE_FORMAT_VERSION
+from repro.store import ContentStore
 from repro.synthesis import DEPTH_ORACLE_VERSION
 
 
@@ -83,78 +82,132 @@ class TestContentAddressing:
 
 class TestProgramCacheUnit:
     RESULTS = {"criterion2": {"fidelity": 0.99, "swap_count": 1}}
-    DOCUMENT = {"fingerprint": "fp0", "seed": 17}
+    DOCUMENT = {"fingerprint": "fp0", "strategies": ["criterion2"], "seed": 17}
 
     def test_lru_bounds_and_eviction(self):
-        cache = ProgramCache(capacity=2)
+        cache = ContentStore(PROGRAM_CODEC, 2)
         for index in range(3):
             cache.put(f"fp0-p{index}", self.RESULTS, self.DOCUMENT)
         assert len(cache) == 2
         assert cache.get_memory("fp0-p0") is None  # oldest evicted
 
+    def test_lru_order_follows_use(self):
+        cache = ContentStore(PROGRAM_CODEC, 2)
+        cache.put("fp0-pA", self.RESULTS, self.DOCUMENT)
+        cache.put("fp0-pB", self.RESULTS, self.DOCUMENT)
+        assert cache.get_memory("fp0-pA") is not None  # A is now the newest
+        cache.put("fp0-pC", self.RESULTS, self.DOCUMENT)
+        assert cache.get_memory("fp0-pB") is None
+        assert cache.get_memory("fp0-pA") is not None
+
     def test_hits_return_copies(self):
-        cache = ProgramCache(capacity=2)
-        cache.put("fp0-p0", self.RESULTS, self.DOCUMENT)
+        cache = ContentStore(PROGRAM_CODEC, 2)
+        results = {"criterion2": dict(self.RESULTS["criterion2"])}
+        cache.put("fp0-p0", results, self.DOCUMENT)
+        results["criterion2"]["fidelity"] = -2.0  # the caller's copy
         first = cache.get_memory("fp0-p0")
         first["criterion2"]["fidelity"] = -1.0
         assert cache.get_memory("fp0-p0")["criterion2"]["fidelity"] == 0.99
 
     def test_invalidate_fingerprint_is_prefix_scoped(self):
-        cache = ProgramCache(capacity=8)
+        cache = ContentStore(PROGRAM_CODEC, 8)
         cache.put("fp0-pA", self.RESULTS, self.DOCUMENT)
         cache.put("fp0-pB", self.RESULTS, self.DOCUMENT)
         cache.put("fp1-pA", self.RESULTS, self.DOCUMENT)
-        assert cache.invalidate_fingerprint("fp0") == 2
+        assert cache.invalidate_prefix("fp0-") == 2
         assert cache.get_memory("fp0-pA") is None
         assert cache.get_memory("fp1-pA") is not None
         assert cache.stats.invalidated == 2
 
     def test_stats_and_sources(self):
-        cache = ProgramCache(capacity=2)
-        assert cache.get("fp0-p0", {})[1] == "compiled"
+        cache = ContentStore(PROGRAM_CODEC, 2)
+        assert cache.get("fp0-p0", {}) == (None, None)
         cache.put("fp0-p0", self.RESULTS, self.DOCUMENT)
         results, source = cache.get("fp0-p0", {})
-        assert source == "program-mem" and results == self.RESULTS
-        assert source in PROGRAM_SOURCES
+        assert source == "memory" and results == self.RESULTS
         stats = cache.as_dict()
-        assert stats["memory_hits"] == 1 and stats["compiled"] == 1
+        assert stats["memory_hits"] == 1 and stats["misses"] == 1
         assert stats["hit_rate"] == pytest.approx(0.5)
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError, match="capacity"):
-            ProgramCache(capacity=0)
+            ContentStore(PROGRAM_CODEC, 0)
 
 
 class TestProgramStore:
     RESULTS = {"criterion2": {"fidelity": 0.5}}
+    DOCUMENT = {"fingerprint": "fp0", "strategies": ["criterion2"], "seed": 17}
 
     def test_round_trip_and_echo_back_validation(self, tmp_path):
-        store = ProgramStore(tmp_path)
-        document = {"fingerprint": "fp0", "seed": 17}
-        store.store("fp0-pA", self.RESULTS, document)
-        assert store.load("fp0-pA", document) == self.RESULTS
+        ContentStore(PROGRAM_CODEC, 4, tmp_path).put(
+            "fp0-pA", self.RESULTS, self.DOCUMENT
+        )
+
+        def load(key, document):
+            return ContentStore(PROGRAM_CODEC, 4, tmp_path).get(key, document)[0]
+
+        assert load("fp0-pA", self.DOCUMENT) == self.RESULTS
         # A mismatched expectation (e.g. a hand-renamed file) is a miss.
-        assert store.load("fp0-pA", {"fingerprint": "fp1"}) is None
-        assert store.load("missing", document) is None
+        assert load("fp0-pA", {**self.DOCUMENT, "fingerprint": "fp1"}) is None
+        assert load("missing", self.DOCUMENT) is None
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
-        store = ProgramStore(tmp_path)
+        store = ContentStore(PROGRAM_CODEC, 4, tmp_path)
         store.path_for("fp0-pA").write_text("{not json")
-        assert store.load("fp0-pA", {}) is None
+        assert store.get("fp0-pA", {}) == (None, None)
         # Wrong format version likewise.
         store.path_for("fp0-pB").write_text(
             json.dumps({"format_version": -1, "results": self.RESULTS})
         )
-        assert store.load("fp0-pB", {}) is None
+        assert store.get("fp0-pB", {}) == (None, None)
+        # Valid JSON that is not a document at all.
+        store.path_for("fp0-pC").write_text("[1, 2]")
+        assert store.get("fp0-pC", {}) == (None, None)
+        assert store.stats.misses == 3
+
+    @pytest.mark.parametrize(
+        "results",
+        [
+            {"criterion2": 5},  # summaries must be dicts
+            {"baseline": {"fidelity": 0.5}},  # keyed by other strategies
+            {"criterion2": {"fidelity": 0.5}, "baseline": {"fidelity": 0.4}},
+            ["criterion2"],
+        ],
+    )
+    def test_malformed_results_are_misses(self, tmp_path, results):
+        store = ContentStore(PROGRAM_CODEC, 4, tmp_path)
+        store.path_for("fp0-pA").write_text(
+            json.dumps(
+                {
+                    "format_version": PROGRAM_CACHE_FORMAT_VERSION,
+                    **self.DOCUMENT,
+                    "results": results,
+                }
+            )
+        )
+        assert store.get("fp0-pA", self.DOCUMENT) == (None, None)
+
+    def test_entries_are_byte_stable(self, tmp_path):
+        """The on-disk layout: format version, echo fields, then results."""
+        store = ContentStore(PROGRAM_CODEC, 4, tmp_path)
+        store.put("fp0-pA", self.RESULTS, self.DOCUMENT)
+        [entry] = store.entries()
+        assert entry.name == "fp0-pA.json"
+        assert entry.read_text() == json.dumps(
+            {
+                "format_version": PROGRAM_CACHE_FORMAT_VERSION,
+                **self.DOCUMENT,
+                "results": self.RESULTS,
+            }
+        )
 
     def test_memory_layer_rehydrates_from_disk(self, tmp_path):
-        document = {"fingerprint": "fp0"}
-        warm = ProgramCache(capacity=4, store=ProgramStore(tmp_path))
-        warm.put("fp0-pA", self.RESULTS, document)
-        cold = ProgramCache(capacity=4, store=ProgramStore(tmp_path))
-        results, source = cold.get("fp0-pA", document)
-        assert source == "program-disk" and results == self.RESULTS
-        assert cold.get("fp0-pA", document)[1] == "program-mem"
+        warm = ContentStore(PROGRAM_CODEC, 4, tmp_path)
+        warm.put("fp0-pA", self.RESULTS, self.DOCUMENT)
+        cold = ContentStore(PROGRAM_CODEC, 4, tmp_path)
+        results, source = cold.get("fp0-pA", self.DOCUMENT)
+        assert source == "disk" and results == self.RESULTS
+        assert cold.get("fp0-pA", self.DOCUMENT)[1] == "memory"
 
 
 # -- integration: the service's cache hierarchy --------------------------------
@@ -216,7 +269,8 @@ class TestServiceProgramCache:
         async def go():
             async with CompilationService() as service:
                 assert service.programs is not None
-                assert service.programs.store is None
+                assert service.programs.root is None
+                assert service.hot_targets.root is None
                 first = await service.compile(dict(REQUEST))
                 second = await service.compile(dict(REQUEST))
                 return first, second
@@ -224,6 +278,33 @@ class TestServiceProgramCache:
         first, second = run(go())
         assert first.program_source == "compiled"
         assert second.program_source == "program-mem"
+
+    def test_malformed_disk_entry_is_a_miss_and_gets_overwritten(self, tmp_path):
+        """A valid-JSON entry with wrong-shaped results, at the right path
+        with the right echo fields, recompiles instead of failing or being
+        served -- and the recompile replaces it."""
+
+        async def go():
+            config = ServiceConfig(cache_dir=str(tmp_path))
+            async with CompilationService(config) as service:
+                reference = await service.compile(dict(REQUEST))
+            [entry] = (tmp_path / "programs").glob("*.json")
+            document = json.loads(entry.read_text())
+            served = []
+            for results in (
+                {"criterion2": 5},
+                {"baseline": reference.results["criterion2"]},
+            ):
+                entry.write_text(json.dumps({**document, "results": results}))
+                async with CompilationService(config) as service:
+                    served.append(await service.compile(dict(REQUEST)))
+                assert json.loads(entry.read_text()) == document
+            return reference, served
+
+        reference, served = run(go())
+        for response in served:
+            assert response.program_source == "compiled"
+            assert response.results == reference.results
 
     def test_program_capacity_validated(self):
         with pytest.raises(ValueError, match="program_capacity"):
@@ -299,15 +380,18 @@ class TestOptimizerStaleness:
 
     def test_pre_optimizer_disk_entries_are_unservable(self, tmp_path):
         """A v1-format entry (pre-optimizer seed) at the right path is a miss."""
-        store = ProgramStore(tmp_path)
+        store = ContentStore(PROGRAM_CODEC, 4, tmp_path)
         results = {"criterion2": {"fidelity": 0.9}}
-        document = {"fingerprint": "fp0"}
-        path = store.store("fp0-pabc", results, document)
-        assert store.load("fp0-pabc", document) == results
+        document = {"fingerprint": "fp0", "strategies": ["criterion2"]}
+        store.put("fp0-pabc", results, document)
+        fresh = ContentStore(PROGRAM_CODEC, 4, tmp_path)
+        assert fresh.get("fp0-pabc", document) == (results, "disk")
+        path = store.path_for("fp0-pabc")
         stale = json.loads(path.read_text())
         stale["format_version"] = 1
         path.write_text(json.dumps(stale))
-        assert store.load("fp0-pabc", document) is None
+        fresh = ContentStore(PROGRAM_CODEC, 4, tmp_path)
+        assert fresh.get("fp0-pabc", document) == (None, None)
 
     def test_optimize_flag_partitions_the_cache(self, tmp_path):
         """optimize=True and optimize=False are distinct cache entries, each

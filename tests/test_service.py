@@ -14,7 +14,7 @@ from repro.compiler import transpile
 from repro.compiler.pipeline.dispatch import BatchDispatcher, DispatchContext
 from repro.compiler.pipeline.target import build_target
 from repro.device import Device, DeviceParameters
-from repro.fleet import TopologySpec
+from repro.fleet import TARGET_CODEC, TopologySpec, get_target
 from repro.fleet.__main__ import main as fleet_main
 from repro.fleet.sweep import build_circuit
 from repro.service import (
@@ -26,10 +26,10 @@ from repro.service import (
     ServiceClient,
     ServiceConfig,
     ServiceServer,
-    TargetHotCache,
     run_phase_inprocess,
 )
 from repro.service.__main__ import main as service_main
+from repro.store import ContentStore
 
 
 def run(coro):
@@ -44,55 +44,56 @@ def make_device(seed=11, topology="linear:4"):
 
 class TestTargetHotCache:
     def test_layering_memory_disk_build(self, tmp_path):
-        cache = TargetHotCache(capacity=4, cache_dir=tmp_path)
+        cache = ContentStore(TARGET_CODEC, 4, tmp_path)
         device = make_device()
-        target, source = cache.get(device, "criterion2")
+        target, source = get_target(cache, device, "criterion2")
         assert source == "built"
-        again, source = cache.get(device, "criterion2")
+        again, source = get_target(cache, device, "criterion2")
         assert source == "memory"
         assert again is target
-        # A fresh cache over the same directory hits disk, then memory.
-        resumed = TargetHotCache(capacity=4, cache_dir=tmp_path)
-        _, source = resumed.get(device, "criterion2")
+        # A fresh store over the same directory hits disk, then memory.
+        resumed = ContentStore(TARGET_CODEC, 4, tmp_path)
+        _, source = get_target(resumed, device, "criterion2")
         assert source == "disk"
-        _, source = resumed.get(device, "criterion2")
+        _, source = get_target(resumed, device, "criterion2")
         assert source == "memory"
         assert resumed.stats.disk_hits == 1 and resumed.stats.memory_hits == 1
 
     def test_eviction_respects_capacity_and_disk_backstop(self, tmp_path):
-        cache = TargetHotCache(capacity=1, cache_dir=tmp_path)
+        cache = ContentStore(TARGET_CODEC, 1, tmp_path)
         device = make_device()
-        cache.get(device, "baseline")
-        cache.get(device, "criterion2")  # evicts baseline from memory
+        get_target(cache, device, "baseline")
+        get_target(cache, device, "criterion2")  # evicts baseline from memory
         assert len(cache) == 1
-        _, source = cache.get(device, "baseline")
+        _, source = get_target(cache, device, "baseline")
         assert source == "disk"  # not rebuilt: the disk layer caught it
 
     def test_memory_only_mode_rebuilds_after_eviction(self):
-        cache = TargetHotCache(capacity=1, cache_dir=None)
+        cache = ContentStore(TARGET_CODEC, 1)
         device = make_device()
-        cache.get(device, "baseline")
-        cache.get(device, "criterion2")
-        _, source = cache.get(device, "baseline")
+        get_target(cache, device, "baseline")
+        get_target(cache, device, "criterion2")
+        _, source = get_target(cache, device, "baseline")
         assert source == "built"
-        assert cache.stats.builds == 3
+        assert cache.stats.misses == 3
+        assert cache.entries() == [] and cache.as_dict()["disk_entries"] == 0
 
     def test_distinct_devices_get_distinct_entries(self, tmp_path):
-        cache = TargetHotCache(capacity=8, cache_dir=tmp_path)
-        a, _ = cache.get(make_device(seed=11), "criterion2")
-        b, _ = cache.get(make_device(seed=12), "criterion2")
+        cache = ContentStore(TARGET_CODEC, 8, tmp_path)
+        a, _ = get_target(cache, make_device(seed=11), "criterion2")
+        b, _ = get_target(cache, make_device(seed=12), "criterion2")
         assert a is not b
-        assert cache.stats.builds == 2
+        assert cache.stats.misses == 2
 
     def test_served_targets_have_cost_models_attached(self, tmp_path):
-        cache = TargetHotCache(capacity=4, cache_dir=tmp_path)
+        cache = ContentStore(TARGET_CODEC, 4, tmp_path)
         device = make_device()
-        target, _ = cache.get(device, "criterion2")
+        target, _ = get_target(cache, device, "criterion2")
         assert target.cost_model().strategy == "criterion2"
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError, match="capacity"):
-            TargetHotCache(capacity=0)
+            ContentStore(TARGET_CODEC, 0)
 
 
 class TestCompileRequest:
@@ -391,8 +392,10 @@ class TestServiceCompile:
         snapshot = run(go())
         assert snapshot["requests"]["ok"] == 1
         assert snapshot["batches"]["total"] == 1
-        assert snapshot["cache"]["builds"] == 1
-        assert snapshot["cache"]["disk"]["misses"] == 1
+        assert snapshot["cache"]["misses"] == 1
+        assert snapshot["cache"]["disk_entries"] == 1
+        # One schema for both stores.
+        assert set(snapshot["cache"]) == set(snapshot["programs"])
         for block in ("queue", "compile", "total"):
             assert set(snapshot["latency_ms"][block]) == {
                 "p50",
@@ -430,7 +433,7 @@ class TestColdWarm:
 
         cold, warm, cache, programs = run(go())
         assert cold["errors"] == 0 and warm["errors"] == 0
-        assert cache["builds"] == 4  # 2 devices x 2 strategies, cold only
+        assert cache["misses"] == 4  # 2 devices x 2 strategies, cold only
         # Warm repeats never reach the target layer any more: the program
         # cache absorbs them whole.
         assert set(warm["program_sources"]) == {"program-mem"}
@@ -491,6 +494,33 @@ class TestWire:
 
         run(go())
 
+    def test_oversize_line_is_answered_then_closed(self):
+        """A line over the 64 KiB stream limit gets a readable ``ok: false``
+        (not a traceback and a silent EOF); only that connection closes."""
+
+        async def go():
+            server = ServiceServer(CompilationService(), port=0)
+            await server.start()
+            host, port = server.address
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b'{"op": "ping", "pad": "' + b"x" * 70_000 + b'"}\n')
+            await writer.drain()
+            answer = json.loads(await reader.readline())
+            try:
+                rest = await reader.read()
+            except ConnectionResetError:  # closed with the line's tail unread
+                rest = b""
+            writer.close()
+            async with ServiceClient(host, port) as client:
+                pong = await client.request({"op": "ping"})
+            await server.stop()
+            return answer, rest, pong
+
+        answer, rest, pong = run(go())
+        assert answer["ok"] is False and "64 KiB" in answer["error"]
+        assert rest == b""  # the server closed that connection
+        assert pong == {"ok": True, "result": "pong"}
+
 
 class TestServiceCli:
     def test_load_in_process_reports_metrics(self, tmp_path, capsys):
@@ -513,7 +543,7 @@ class TestServiceCli:
             ]
         )
         assert document["load"]["requests"] == 2
-        assert document["service"]["cache"]["builds"] == 1
+        assert document["service"]["cache"]["misses"] == 1
         assert json.loads(output.read_text()) == document
         assert '"throughput_rps"' in capsys.readouterr().out
 
@@ -672,7 +702,13 @@ class TestShutdownAndReconnect:
             config = ServiceConfig(
                 cache_dir=str(tmp_path), batch_window_ms=1.0, program_cache=False
             )
-            server = ServiceServer(CompilationService(config), port=0)
+            # The first server batches slowly (a 20 ms window per round of 4,
+            # about 200 ms for the workload), so the kill below lands mid-load
+            # however fast a compile is.
+            slow = ServiceConfig(
+                cache_dir=str(tmp_path), batch_window_ms=20.0, program_cache=False
+            )
+            server = ServiceServer(CompilationService(slow), port=0)
             await server.start()
             host, port = server.address
             load = asyncio.create_task(
