@@ -15,13 +15,12 @@ compiling under several strategies) at in-process
 * **identity** -- every workload request is compiled on both services and
   the result documents are compared byte for byte: a cache hit must be
   indistinguishable from recompiling;
-* **build** -- the cold end: one multi-edge target resolved with the
-  vectorized batch scan + concurrent edge fan-out vs the scalar
-  one-edge-at-a-time reference, asserting the targets are equal.
+* **build** -- the cold end: one multi-edge target resolved from a fresh
+  device (batched scan + concurrent edge fan-out), timed once.
 
 Emits ``BENCH_service.json``: per-phase throughput and latency percentiles,
 the warm/cold and cache/no-cache speedups, program-cache hit rates and the
-cold-build speedup.  The committed copy at ``benchmarks/BENCH_service.json``
+cold-build time.  The committed copy at ``benchmarks/BENCH_service.json``
 is the CI perf baseline (``benchmarks/check_perf.py`` gates regressions
 against it); refresh it by re-running this script from the repository
 root::
@@ -44,7 +43,6 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.core.basis_selection import set_batch_scan
 from repro.compiler.pipeline.target import build_target
 from repro.device.device import default_edge_workers
 from repro.fleet.devices import make_device
@@ -85,39 +83,23 @@ async def _compile_all(service: CompilationService, requests) -> list:
 
 
 def bench_build() -> dict:
-    """Cold target resolution: batched scan + edge fan-out vs scalar loop.
+    """Cold target resolution from a fresh device and synthesis memo.
 
-    Both builds start from a fresh device and an empty synthesis memo; the
-    resulting targets must compare equal -- vectorization is a pure
-    speedup, never a behaviour change.
+    ``batched_s`` keeps the name it had when a scalar build was timed
+    beside this one, so committed baselines stay comparable.
     """
-    spec = TopologySpec.parse(BUILD_TOPOLOGY)
-
-    def build(batched: bool) -> tuple[float, object]:
-        reset_synthesis_memo()
-        device = make_device(spec, 11)
-        previous = set_batch_scan(batched)
-        try:
-            started = time.perf_counter()
-            target = build_target(device, BUILD_STRATEGY)
-            target.complete(max_workers=None if batched else 1)
-            elapsed = time.perf_counter() - started
-        finally:
-            set_batch_scan(previous)
-        return elapsed, target
-
-    reference_s, reference = build(batched=False)
-    batched_s, batched = build(batched=True)
+    reset_synthesis_memo()
+    device = make_device(TopologySpec.parse(BUILD_TOPOLOGY), 11)
+    started = time.perf_counter()
+    target = build_target(device, BUILD_STRATEGY).complete()
+    batched_s = time.perf_counter() - started
     reset_synthesis_memo()
     return {
         "topology": BUILD_TOPOLOGY,
         "strategy": BUILD_STRATEGY,
-        "edges": len(reference.selections),
+        "edges": len(target.selections),
         "edge_workers": default_edge_workers(),
-        "reference_s": reference_s,
         "batched_s": batched_s,
-        "speedup": reference_s / batched_s if batched_s > 0 else 0.0,
-        "identical": reference == batched,
     }
 
 
@@ -311,8 +293,7 @@ def main(argv: list[str] | None = None) -> dict:
     )
     print(
         f"cold build ({build['topology']}, {build['edges']} edges): "
-        f"{build['reference_s']:.2f}s scalar vs {build['batched_s']:.2f}s "
-        f"batched = {build['speedup']:.1f}x, identical: {build['identical']}"
+        f"{build['batched_s']:.3f}s"
     )
     print(f"\nWrote {path}")
     return results

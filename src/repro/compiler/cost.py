@@ -100,8 +100,7 @@ class EdgeCost:
             the coherence model (both qubits busy for ``swap_duration``).
         cnot_log_infidelity: likewise for a CNOT.
         basis_coordinates: canonical Weyl coordinates of the pair's selected
-            basis gate, or ``None`` on rows deserialized from a pre-optimizer
-            cache.  With them present the model can answer layer counts for
+            basis gate.  With them the model answers layer counts for
             *arbitrary* targets (consolidated blocks), not just SWAP/CNOT --
             see :meth:`CostModel.coverage_oracle`.
     """
@@ -114,7 +113,7 @@ class EdgeCost:
     cnot_duration: float
     swap_log_infidelity: float
     cnot_log_infidelity: float
-    basis_coordinates: Coords | None = None
+    basis_coordinates: Coords
 
     def as_dict(self) -> dict:
         """Plain-data row for serialization."""
@@ -127,17 +126,12 @@ class EdgeCost:
             "cnot_duration": self.cnot_duration,
             "swap_log_infidelity": self.swap_log_infidelity,
             "cnot_log_infidelity": self.cnot_log_infidelity,
-            "basis_coordinates": (
-                list(self.basis_coordinates)
-                if self.basis_coordinates is not None
-                else None
-            ),
+            "basis_coordinates": list(self.basis_coordinates),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "EdgeCost":
         """Rebuild a row from :meth:`as_dict` output."""
-        coordinates = data.get("basis_coordinates")
         return cls(
             edge=tuple(data["edge"]),
             swap_layers=int(data["swap_layers"]),
@@ -147,11 +141,7 @@ class EdgeCost:
             cnot_duration=float(data["cnot_duration"]),
             swap_log_infidelity=float(data["swap_log_infidelity"]),
             cnot_log_infidelity=float(data["cnot_log_infidelity"]),
-            basis_coordinates=(
-                tuple(float(c) for c in coordinates)
-                if coordinates is not None
-                else None
-            ),
+            basis_coordinates=tuple(float(c) for c in data["basis_coordinates"]),
         )
 
 
@@ -260,13 +250,9 @@ class CostModel:
         block-consolidation optimizer asks.  Oracles are memoised per
         ``(edge, max_layers, decimals)`` and route through
         :func:`cached_minimum_layers`, so their answers are identical to
-        basis translation's.  Returns ``None`` when the row carries no basis
-        coordinates (a model deserialized from a pre-optimizer cache); the
-        caller falls back to the live selection.
+        basis translation's.
         """
         cost = self.edge_cost(edge)
-        if cost.basis_coordinates is None:
-            return None
         oracles = getattr(self, "_coverage_oracles", None)
         if oracles is None:
             oracles = {}
@@ -340,9 +326,23 @@ class MappingMetric:
     ``swap_bias(a, b)`` is the extra heuristic cost of performing a SWAP on
     the edge ``(a, b)`` itself (zero in the legacy uniform metric, where it
     cancels across candidates).
+
+    Layout and routing read both through dense arrays only:
+    :meth:`distance_matrix` and :meth:`swap_bias_matrix` build them once per
+    metric instance from the scalar methods, so a custom metric overrides
+    ``distance`` (and optionally ``swap_bias``) and takes the same array
+    engine as the built-in ones.  A subclass with a faster way to the matrix
+    overrides the matrix method and keeps ``matrix[a, b] == distance(a, b)``.
     """
 
     name = "base"
+    #: The dense matrices, built on first use.  Class-level defaults, so a
+    #: subclass with its own ``__init__`` need not call this one.
+    _matrix: np.ndarray | None = None
+    _bias_matrix: np.ndarray | None = None
+
+    def __init__(self, device):
+        self.device = device
 
     def distance(self, a: int, b: int):
         """Mapping distance between two physical qubits."""
@@ -352,25 +352,29 @@ class MappingMetric:
         """Heuristic cost of swapping on edge ``(a, b)`` (0 when uniform)."""
         return 0.0
 
-    def distance_matrix(self):
-        """Dense ``(n, n)`` array backing :meth:`distance`, or ``None``.
+    def distance_matrix(self) -> np.ndarray:
+        """Dense ``(n, n)`` array of :meth:`distance` over every pair."""
+        if self._matrix is None:
+            qubits = range(self.device.n_qubits)
+            self._matrix = np.array(
+                [[self.distance(a, b) for b in qubits] for a in qubits]
+            )
+        return self._matrix
 
-        The vectorized router batches its score lookups into this matrix;
-        returning ``None`` (the default) routes through the scalar reference
-        engine instead.  Subclasses that override :meth:`distance` must keep
-        any matrix they return consistent with it -- the router trusts
-        ``matrix[a, b] == distance(a, b)``.
+    def swap_bias_matrix(self) -> np.ndarray:
+        """Dense ``(n, n)`` array of :meth:`swap_bias` on every coupled pair.
+
+        Uncoupled pairs hold 0.0: the router only charges the bias of a
+        candidate SWAP, and every candidate is an edge.
         """
-        return None
-
-    def swap_bias_matrix(self):
-        """Dense ``(n, n)`` array backing :meth:`swap_bias`, or ``None``.
-
-        A metric that overrides :meth:`swap_bias` without supplying this
-        matrix is routed through the scalar reference engine (the router
-        never silently substitutes a zero bias).
-        """
-        return None
+        if self._bias_matrix is None:
+            n = self.device.n_qubits
+            matrix = np.zeros((n, n))
+            for a in range(n):
+                for b in self.device.neighbors(a):
+                    matrix[a, b] = self.swap_bias(a, b)
+            self._bias_matrix = matrix
+        return self._bias_matrix
 
 
 class HopCountMetric(MappingMetric):
@@ -383,16 +387,12 @@ class HopCountMetric(MappingMetric):
 
     name = "hop_count"
 
-    def __init__(self, device):
-        self.device = device
-
     def distance(self, a: int, b: int):
         return self.device.distance(a, b)
 
-    def distance_matrix(self):
-        """The device's dense BFS hop matrix (when the device exposes one)."""
-        getter = getattr(self.device, "distance_matrix", None)
-        return getter() if callable(getter) else None
+    def distance_matrix(self) -> np.ndarray:
+        """The device's dense BFS hop matrix (``-1`` marks unreachable)."""
+        return self.device.distance_matrix()
 
 
 class BasisAwareMetric(MappingMetric):
@@ -410,7 +410,7 @@ class BasisAwareMetric(MappingMetric):
     def __init__(self, device, cost_model: CostModel):
         if cost_model is None:
             raise ValueError("basis_aware mapping requires a CostModel")
-        self.device = device
+        super().__init__(device)
         self.cost_model = cost_model
         self._weights = cost_model.swap_weights()
         missing = [e for e in device.edges() if e not in self._weights]
@@ -419,10 +419,6 @@ class BasisAwareMetric(MappingMetric):
                 f"cost model for strategy {cost_model.strategy!r} is missing "
                 f"device edges {missing[:4]}{'...' if len(missing) > 4 else ''}"
             )
-        # Lazy: the all-pairs Dijkstra runs on first use, so a worker that
-        # adopts a shared-memory matrix never pays for it at all.
-        self._matrix: np.ndarray | None = None
-        self._bias_matrix: np.ndarray | None = None
 
     @staticmethod
     def _weighted_distances(device, weights: dict[Edge, float]) -> np.ndarray:
@@ -439,7 +435,11 @@ class BasisAwareMetric(MappingMetric):
         return dijkstra(graph, directed=False)
 
     def distance_matrix(self) -> np.ndarray:
-        """All-pairs weighted distances (computed once, or adopted)."""
+        """All-pairs weighted distances (computed once, or adopted).
+
+        Lazy: the all-pairs Dijkstra runs on first use, so a worker that
+        adopts a shared-memory matrix never pays for it at all.
+        """
         if self._matrix is None:
             self._matrix = self._weighted_distances(self.device, self._weights)
         return self._matrix
@@ -461,17 +461,6 @@ class BasisAwareMetric(MappingMetric):
                 f"device ({n} qubits)"
             )
         self._matrix = matrix
-
-    def swap_bias_matrix(self) -> np.ndarray:
-        """Dense symmetric per-edge SWAP weights (zero off-edge)."""
-        if self._bias_matrix is None:
-            n = self.device.n_qubits
-            matrix = np.zeros((n, n))
-            for (a, b), weight in self._weights.items():
-                matrix[a, b] = weight
-                matrix[b, a] = weight
-            self._bias_matrix = matrix
-        return self._bias_matrix
 
     def distance(self, a: int, b: int) -> float:
         return float(self.distance_matrix()[a, b])

@@ -54,6 +54,10 @@ def greedy_subgraph_layout(
     Logical qubits are placed in decreasing order of interaction weight; each
     is assigned the free physical qubit minimising the total metric distance
     to the already-placed logical qubits it interacts with.
+
+    Raises:
+        ValueError: when the circuit does not fit, or the metric's hop
+            matrix marks a pair unreachable (a disconnected device).
     """
     if circuit.n_qubits > device.n_qubits:
         raise ValueError("circuit does not fit on the device")
@@ -65,9 +69,9 @@ def greedy_subgraph_layout(
         key=lambda q: sum(d["weight"] for _, _, d in graph.edges(q, data=True)),
         reverse=True,
     )
+    matrix = _metric_matrix(metric)
     # Start near the centre of the device so growth has room in every direction.
     center = _device_center(device, metric)
-    matrix = _metric_matrix(metric)
     free = set(range(device.n_qubits))
     layout: dict[int, int] = {}
     for logical in order:
@@ -76,47 +80,30 @@ def greedy_subgraph_layout(
             for other in graph.neighbors(logical)
             if other in layout
         ]
-        # ``free`` is iterated in set order in both branches below; the
-        # vectorized paths freeze that order in a list so tie-breaking
-        # stays byte-identical to the scalar reference.
+        # ``free`` is iterated in set order; freezing that order in a list
+        # keeps tie-breaking identical to a scan over the set itself.
+        free_list = list(free)
         if not placed_neighbors:
-            # Choose the free qubit closest to the centre.
-            if matrix is not None:
-                free_list = list(free)
-                choice = free_list[int(np.argmin(matrix[free_list, center]))]
-            else:
-                candidates = sorted(free, key=lambda p: metric.distance(p, center))
-                choice = candidates[0]
+            choice = _closest(free_list, matrix, center)
         else:
-            if matrix is not None:
-                # One gather per placed neighbour, accumulated left-to-right
-                # like the scalar sum so float costs match bit for bit.
-                other, weight = placed_neighbors[0]
-                column = weight * matrix[:, layout[other]]
-                for other, weight in placed_neighbors[1:]:
-                    column = column + weight * matrix[:, layout[other]]
-                free_list = list(free)
-                costs = column[free_list]
-                best_cost = costs.min()
-                best = [p for p, c in zip(free_list, costs) if c <= best_cost + 1e-9]
-            else:
-                def cost(p: int) -> float:
-                    return sum(
-                        weight * metric.distance(p, layout[other])
-                        for other, weight in placed_neighbors
-                    )
-
-                best_cost = min(cost(p) for p in free)
-                best = [p for p in free if cost(p) <= best_cost + 1e-9]
+            # One gather per placed neighbour, accumulated left-to-right
+            # like a scalar sum so float costs match bit for bit.
+            other, weight = placed_neighbors[0]
+            column = weight * matrix[:, layout[other]]
+            for other, weight in placed_neighbors[1:]:
+                column = column + weight * matrix[:, layout[other]]
+            costs = column[free_list]
+            best_cost = costs.min()
+            best = [p for p, c in zip(free_list, costs) if c <= best_cost + 1e-9]
             choice = int(best[rng.integers(len(best))]) if len(best) > 1 else best[0]
         layout[logical] = choice
         free.discard(choice)
     # Any isolated logical qubits not yet placed (no 2Q gates at all).
     for logical in range(circuit.n_qubits):
         if logical not in layout:
-            candidates = sorted(free, key=lambda p: metric.distance(p, center))
-            layout[logical] = candidates[0]
-            free.discard(candidates[0])
+            choice = _closest(list(free), matrix, center)
+            layout[logical] = choice
+            free.discard(choice)
     return layout
 
 
@@ -159,6 +146,11 @@ def sabre_layout(
     return layout
 
 
+def _closest(candidates: list[int], matrix: np.ndarray, center: int) -> int:
+    """The first of ``candidates`` at minimal distance from ``center``."""
+    return candidates[int(np.argmin(matrix[candidates, center]))]
+
+
 def _device_center(device, metric=None) -> int:
     """Physical qubit with the smallest eccentricity (centre of the device).
 
@@ -170,18 +162,8 @@ def _device_center(device, metric=None) -> int:
     cached = getattr(metric, "_device_center_cache", None)
     if cached is not None:
         return cached
-    matrix = _metric_matrix(metric)
-    if matrix is not None:
-        # Row max = eccentricity; argmin keeps the first minimal qubit,
-        # matching the strict-< update rule of the scalar loop.
-        best_qubit = int(np.argmin(matrix.max(axis=1)))
-    else:
-        best_qubit = 0
-        best_ecc = None
-        for q in range(device.n_qubits):
-            ecc = max(metric.distance(q, other) for other in range(device.n_qubits))
-            if best_ecc is None or ecc < best_ecc:
-                best_qubit, best_ecc = q, ecc
+    # Row max = eccentricity; argmin keeps the first minimal qubit.
+    best_qubit = int(np.argmin(_metric_matrix(metric).max(axis=1)))
     try:
         metric._device_center_cache = best_qubit
     except AttributeError:
@@ -189,19 +171,14 @@ def _device_center(device, metric=None) -> int:
     return best_qubit
 
 
-def _metric_matrix(metric) -> np.ndarray | None:
-    """Dense distance matrix for a metric, or ``None`` to use scalar lookups.
+def _metric_matrix(metric) -> np.ndarray:
+    """The metric's dense distance matrix, checked for unreachable pairs.
 
-    Integer matrices containing ``-1`` (unreachable pairs) fall back to the
-    scalar path, which surfaces the device's own diagnostics.
+    Layout compares distances between arbitrary pairs, so a hop matrix that
+    marks a pair unreachable (``-1``: a disconnected device) raises up front.
     """
-    getter = getattr(metric, "distance_matrix", None)
-    if not callable(getter):
-        return None
-    matrix = getter()
-    if matrix is None:
-        return None
-    matrix = np.asarray(matrix)
-    if np.issubdtype(matrix.dtype, np.integer) and (matrix < 0).any():
-        return None
+    matrix = np.asarray(metric.distance_matrix())
+    if matrix.dtype.kind in "iu" and (matrix < 0).any():
+        a, b = np.argwhere(matrix < 0)[0]
+        raise ValueError(f"qubits {a} and {b} are not connected on the device")
     return matrix

@@ -290,11 +290,9 @@ def _edge_oracle(
 ) -> CoverageSetOracle:
     """The edge's coverage-set oracle, routed through the shared layer memo."""
     if cost_model is not None:
-        oracle = cost_model.coverage_oracle(
+        return cost_model.coverage_oracle(
             edge, max_layers=options.max_layers, decimals=options.cache_decimals
         )
-        if oracle is not None:
-            return oracle
     return CoverageSetOracle(
         basis=selection.coordinates,
         max_layers=options.max_layers,

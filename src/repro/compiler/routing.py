@@ -14,23 +14,17 @@ twice.
 The high SWAP count this pass produces on sparse lattices is exactly why the
 paper prioritises SWAP synthesis when choosing basis gates.
 
-Two execution engines produce byte-identical results:
-
-* the **vectorized engine** (default) keeps the logical<->physical mapping as
-  numpy int arrays, maintains the front layer / dependency state
-  incrementally (a min-heap of ready gates plus a linked list over pending
-  two-qubit gates) and scores all candidate SWAPs at once with batch lookups
-  into the metric's dense distance matrix;
-* the **reference engine** (``vectorized=False``, or any metric without a
-  dense :meth:`~repro.compiler.cost.MappingMetric.distance_matrix`) is the
-  original dict-based implementation: a full rescan of pending gates per
-  iteration and one trial mapping copy per candidate SWAP.
-
-The vectorized engine accumulates per-gate distances in the same order and
-with the same float64 operation association as the reference's scalar
-``sum()``, so scores -- and therefore SWAP choices, RNG draws and routed
-circuits -- match the reference bit for bit (the mapping test suite asserts
-gate-by-gate identity across topologies, seeds and metrics).
+The router has one engine.  It keeps the logical<->physical mapping as
+plain and numpy int arrays, maintains the front layer and dependency state
+incrementally (a min-heap of ready gates plus a linked list over pending
+two-qubit gates) and scores all candidate SWAPs at once with batch lookups
+into the metric's dense distance and swap-bias matrices
+(:meth:`~repro.compiler.cost.MappingMetric.distance_matrix`, which every
+metric has).  Per-gate distances accumulate in the same order and with the
+same float64 association as a scalar ``sum()``, so its SWAP choices, RNG
+draws and routed circuits match the original dict-based SABRE bit for bit:
+the mapping test suite keeps that implementation frozen as ``_SeedRouter``
+and asserts gate-by-gate identity across topologies, seeds and metrics.
 """
 
 from __future__ import annotations
@@ -42,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.circuits.circuit import Gate, QuantumCircuit
-from repro.compiler.cost import HopCountMetric, MappingMetric
+from repro.compiler.cost import HopCountMetric
 
 
 @dataclass
@@ -60,8 +54,8 @@ class SabreRouter:
     """A SABRE-style router over an arbitrary coupling graph.
 
     Args:
-        device: object exposing ``n_qubits``, ``has_edge(a, b)``,
-            ``neighbors(q)`` and ``distance(a, b)`` (e.g.
+        device: object exposing ``n_qubits`` and ``neighbors(q)``, plus
+            ``distance_matrix()`` for the default metric (e.g.
             :class:`repro.device.device.Device`).
         lookahead_size: number of not-yet-routable two-qubit gates included in
             the extended (look-ahead) set.
@@ -72,10 +66,6 @@ class SabreRouter:
             distance heuristic and per-edge SWAP costs.  ``None`` (default)
             uses the legacy uniform hop-count metric, which is byte-identical
             to the pre-metric router.
-        vectorized: route with the array-state engine when the metric exposes
-            a dense distance matrix (the default).  ``False`` forces the
-            scalar reference engine -- same output, used as the golden
-            reference by tests and the speedup baseline by benchmarks.
     """
 
     device: object
@@ -84,7 +74,6 @@ class SabreRouter:
     decay_increment: float = 0.001
     seed: int = 17
     metric: object = None
-    vectorized: bool = True
     _rng: np.random.Generator = field(init=False, repr=False)
     _device_arrays: dict | None = field(default=None, init=False, repr=False)
 
@@ -94,7 +83,7 @@ class SabreRouter:
             self.metric = HopCountMetric(self.device)
 
     def _device_state(self) -> dict:
-        """Per-device adjacency state the vectorized engine reuses across runs.
+        """Per-device adjacency state the router reuses across runs.
 
         ``coupled[p]`` is a plain-list adjacency row (list indexing beats
         numpy scalar indexing in the gate-execution loop); ``cand_keys[p]``
@@ -141,55 +130,22 @@ class SabreRouter:
 
         The returned circuit acts on *physical* qubit indices and contains the
         original gates (re-indexed) plus inserted ``swap`` gates.
+
+        Raises:
+            ValueError: on an invalid layout, or when a SWAP must be scored
+                against a pair the metric's hop matrix marks unreachable
+                (a disconnected device); gates that need no SWAP route
+                anyway.
         """
         layout = dict(initial_layout)
         self._validate_layout(circuit, layout)
-        if self.vectorized:
-            dist, bias = self._resolve_matrices()
-            if dist is not None:
-                return self._run_vectorized(circuit, initial_layout, layout, dist, bias)
-        return self._run_reference(circuit, initial_layout, layout)
-
-    # -- engine selection ----------------------------------------------------
-
-    def _resolve_matrices(self) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """The metric's dense distance / swap-bias matrices, when usable.
-
-        Returns ``(None, None)`` -- falling back to the reference engine --
-        when the metric exposes no matrix, when an integer hop matrix marks
-        unreachable pairs (the reference raises through ``device.distance``
-        and the vectorized path must not silently score ``-1``), or when a
-        custom metric overrides ``swap_bias`` without supplying the matching
-        dense matrix.
-        """
-        getter = getattr(self.metric, "distance_matrix", None)
-        dist = getter() if callable(getter) else None
-        if dist is None:
-            return None, None
-        dist = np.asarray(dist)
-        if np.issubdtype(dist.dtype, np.integer) and (dist < 0).any():
-            return None, None
-        bias_getter = getattr(self.metric, "swap_bias_matrix", None)
-        bias = bias_getter() if callable(bias_getter) else None
-        overrides_bias = (
-            type(self.metric).swap_bias is not MappingMetric.swap_bias
-            if isinstance(self.metric, MappingMetric)
-            else True
-        )
-        if bias is None and overrides_bias:
-            return None, None
-        return dist, None if bias is None else np.asarray(bias)
-
-    # -- vectorized engine ---------------------------------------------------
-
-    def _run_vectorized(
-        self,
-        circuit: QuantumCircuit,
-        initial_layout: dict[int, int],
-        layout: dict[int, int],
-        dist: np.ndarray,
-        bias: np.ndarray | None,
-    ) -> RoutingResult:
+        dist = np.asarray(self.metric.distance_matrix())
+        bias = np.asarray(self.metric.swap_bias_matrix())
+        # An integer hop matrix marks unreachable pairs with -1; only then
+        # must scoring look for them.  An all-zero bias (the uniform metric)
+        # adds nothing, so scoring skips it.
+        unreachable = dist.dtype.kind in "iu" and bool((dist < 0).any())
+        bias = bias if bias.any() else None
         n_phys = self.device.n_qubits
         gates = list(circuit.gates)
         n = len(gates)
@@ -197,11 +153,10 @@ class SabreRouter:
         coupled = state["coupled"]
         cand_keys = state["cand_keys"]
 
-        # Logical<->physical mapping, twice: plain lists for the scalar
-        # gate-execution loop (list indexing is fast), plus a numpy mirror
-        # the scoring gathers index into.  Both update on every SWAP; -1
-        # marks "no logical qubit here".  This replaces the reference
-        # engine's dict + per-candidate inverse rebuild.
+        # Logical<->physical mapping in both directions, as plain lists
+        # (list indexing beats numpy scalar indexing in the gate-execution
+        # loop).  Both update on every SWAP; -1 marks "no logical qubit
+        # here".
         phys_list = [-1] * ((max(layout) + 1) if layout else 0)
         log_on = [-1] * n_phys
         for logical, phys in layout.items():
@@ -221,8 +176,8 @@ class SabreRouter:
         # Dependency state: a gate is ready when it heads every one of its
         # qubits' gate lists.  Successors always have a *higher* index than
         # the gate that unblocks them (per-qubit lists are in circuit order),
-        # so a min-heap of ready gates pops in exactly the order the
-        # reference engine's ascending rescan executes them.
+        # so a min-heap of ready gates pops in exactly the order SABRE's
+        # ascending rescan of pending gates executes them.
         per_qubit: list[list[int]] = [[] for _ in range(circuit.n_qubits)]
         for i, gate in enumerate(gates):
             for q in gate.qubits:
@@ -237,7 +192,7 @@ class SabreRouter:
 
         # The front layer: ready two-qubit gates currently blocked on an
         # uncoupled pair, kept sorted by gate index (ascending = the order
-        # the reference engine discovers them).
+        # an ascending rescan discovers them).
         front_blocked: list[int] = []
         in_front = [False] * n
 
@@ -334,9 +289,9 @@ class SabreRouter:
                     extended.append(cursor)
                 cursor = nxt[cursor]
 
-            a_phys, b_phys = self._choose_swap_vectorized(
+            a_phys, b_phys = self._choose_swap(
                 front_blocked, extended, phys_list, decay, dist, bias,
-                q0, q1, cand_keys, n_phys,
+                unreachable, q0, q1, cand_keys, n_phys,
             )
             emit(Gate("swap", (a_phys, b_phys), ()))
             swap_count += 1
@@ -370,7 +325,7 @@ class SabreRouter:
             swap_count=swap_count,
         )
 
-    def _choose_swap_vectorized(
+    def _choose_swap(
         self,
         front_blocked: list[int],
         extended: list[int],
@@ -378,6 +333,7 @@ class SabreRouter:
         decay: np.ndarray,
         dist: np.ndarray,
         bias: np.ndarray | None,
+        unreachable: bool,
         q0: list[int],
         q1: list[int],
         cand_keys: list[list[int]],
@@ -386,10 +342,10 @@ class SabreRouter:
         """Score every candidate SWAP at once against the dense matrices.
 
         Float distances accumulate gate-by-gate (vectorized over candidates)
-        so the float64 operation order matches the reference engine's scalar
-        ``sum()`` exactly -- identical scores, identical ties, identical RNG
-        draws.  Integer hop matrices sum in one C reduction instead: integer
-        sums are order-independent and stay exact in float64.
+        so the float64 operation order matches a scalar ``sum()`` exactly --
+        identical scores, identical ties, identical RNG draws.  Integer hop
+        matrices sum in one C reduction instead: integer sums are
+        order-independent and stay exact in float64.
         """
         key_set: set[int] = set()
         for i in front_blocked:
@@ -408,6 +364,13 @@ class SabreRouter:
         positions = np.array(pos, dtype=np.intp)[:, None]
         trial = np.where(positions == a, b, np.where(positions == b, a, positions))
         pair_dist = dist[trial[:n_gates], trial[n_gates:]]  # (gates, swaps)
+        if unreachable and (pair_dist < 0).any():
+            # The first offender in (candidate, gate) order names the pair.
+            swap, gate = np.argwhere(pair_dist.T < 0)[0]
+            raise ValueError(
+                f"qubits {trial[gate, swap]} and {trial[n_gates + gate, swap]} "
+                "are not connected on the device"
+            )
 
         if pair_dist.dtype.kind in "iu":
             front_cost = pair_dist[:n_front].sum(axis=0) / max(n_front, 1)
@@ -427,114 +390,13 @@ class SabreRouter:
                 extended_cost = ext / len(extended)
         inner = front_cost + self.lookahead_weight * extended_cost
         if bias is not None:
-            # The bias charges the candidate SWAP its own edge cost (always
-            # 0.0 under the uniform metric, where adding it is a no-op).
+            # The bias charges the candidate SWAP its own edge cost.
             inner = inner + bias[a, b]
         scores = np.maximum(decay[a], decay[b]) * inner
         best = np.flatnonzero(scores <= scores.min() + 1e-12)
         choice = int(best[self._rng.integers(len(best))]) if len(best) > 1 else int(best[0])
         key = keys[choice]
         return key // n_phys, key % n_phys
-
-    # -- reference engine ----------------------------------------------------
-
-    def _run_reference(
-        self,
-        circuit: QuantumCircuit,
-        initial_layout: dict[int, int],
-        layout: dict[int, int],
-    ) -> RoutingResult:
-        """The original dict-based engine; the golden behavioural reference."""
-        physical_of = dict(layout)  # logical -> physical
-
-        routed = QuantumCircuit(self.device.n_qubits, name=f"{circuit.name}_routed")
-        remaining = list(circuit.gates)
-        # Per-logical-qubit pointer to the next unexecuted gate index.
-        pending_idx = 0
-        n = len(remaining)
-        executed = [False] * n
-        # Build per-qubit gate order for dependency tracking.
-        per_qubit: dict[int, list[int]] = {q: [] for q in range(circuit.n_qubits)}
-        for i, gate in enumerate(remaining):
-            for q in gate.qubits:
-                per_qubit[q].append(i)
-        next_ptr = {q: 0 for q in range(circuit.n_qubits)}
-
-        def gate_ready(i: int) -> bool:
-            gate = remaining[i]
-            return all(
-                per_qubit[q][next_ptr[q]] == i if next_ptr[q] < len(per_qubit[q]) else False
-                for q in gate.qubits
-            )
-
-        def advance(i: int) -> None:
-            executed[i] = True
-            for q in remaining[i].qubits:
-                next_ptr[q] += 1
-
-        swap_count = 0
-        decay = np.ones(self.device.n_qubits)
-        stall_guard = 0
-        max_stall = 10 * n + 1000
-
-        while not all(executed):
-            progressed = False
-            # Execute everything currently executable (1Q always; 2Q if coupled).
-            for i in range(pending_idx, n):
-                if executed[i] or not gate_ready(i):
-                    continue
-                gate = remaining[i]
-                if not gate.is_two_qubit:
-                    routed.append(gate.with_qubits(*[physical_of[q] for q in gate.qubits]))
-                    advance(i)
-                    progressed = True
-                    continue
-                p0, p1 = physical_of[gate.qubits[0]], physical_of[gate.qubits[1]]
-                if self.device.has_edge(p0, p1):
-                    routed.append(gate.with_qubits(p0, p1))
-                    advance(i)
-                    progressed = True
-            while pending_idx < n and executed[pending_idx]:
-                pending_idx += 1
-            if all(executed):
-                break
-            if progressed:
-                decay[:] = 1.0
-                continue
-
-            stall_guard += 1
-            if stall_guard > max_stall:
-                raise RuntimeError("router failed to make progress (internal error)")
-
-            front_ids = [
-                i
-                for i in range(pending_idx, n)
-                if not executed[i] and gate_ready(i) and remaining[i].is_two_qubit
-            ]
-            front = [remaining[i] for i in front_ids]
-            extended = self._extended_set(
-                remaining, executed, pending_idx, n, frozenset(front_ids)
-            )
-            best_swap = self._choose_swap(front, extended, physical_of, decay)
-            a_phys, b_phys = best_swap
-            routed.swap(a_phys, b_phys)
-            swap_count += 1
-            decay[a_phys] += self.decay_increment
-            decay[b_phys] += self.decay_increment
-            # Update the logical->physical mapping.
-            inverse = {p: l for l, p in physical_of.items()}
-            la, lb = inverse.get(a_phys), inverse.get(b_phys)
-            if la is not None:
-                physical_of[la] = b_phys
-            if lb is not None:
-                physical_of[lb] = a_phys
-
-        return RoutingResult(
-            circuit=routed,
-            initial_layout=dict(initial_layout),
-            final_layout=dict(physical_of),
-            swap_count=swap_count,
-        )
 
     # -- internals -----------------------------------------------------------
 
@@ -547,75 +409,3 @@ class SabreRouter:
         for p in physical:
             if not 0 <= p < self.device.n_qubits:
                 raise ValueError(f"physical qubit {p} outside the device")
-
-    def _extended_set(
-        self, remaining, executed, pending_idx, n, front_ids=frozenset()
-    ) -> list[Gate]:
-        """The look-ahead set: the next two-qubit gates *beyond* the front.
-
-        Per SABRE, front gates already carry full weight in the front term;
-        counting them here as well double-weighted the front layer and skewed
-        every SWAP score toward it (the pre-fix behaviour).
-        """
-        extended: list[Gate] = []
-        for i in range(pending_idx, n):
-            if executed[i] or not remaining[i].is_two_qubit or i in front_ids:
-                continue
-            extended.append(remaining[i])
-            if len(extended) >= self.lookahead_size:
-                break
-        return extended
-
-    def _choose_swap(
-        self,
-        front: list[Gate],
-        extended: list[Gate],
-        physical_of: dict[int, int],
-        decay: np.ndarray,
-    ) -> tuple[int, int]:
-        """Pick the SWAP minimising the SABRE heuristic (scalar reference)."""
-        if not front:
-            raise RuntimeError("no two-qubit gate in the front layer while stalled")
-        candidate_swaps: set[tuple[int, int]] = set()
-        for gate in front:
-            for logical in gate.qubits:
-                phys = physical_of[logical]
-                for neighbor in self.device.neighbors(phys):
-                    candidate_swaps.add(tuple(sorted((phys, neighbor))))
-
-        def score(swap: tuple[int, int]) -> float:
-            a, b = swap
-            # Apply the swap to a temporary mapping.
-            trial = dict(physical_of)
-            inverse = {p: l for l, p in trial.items()}
-            la, lb = inverse.get(a), inverse.get(b)
-            if la is not None:
-                trial[la] = b
-            if lb is not None:
-                trial[lb] = a
-            front_cost = sum(
-                self.metric.distance(trial[g.qubits[0]], trial[g.qubits[1]]) for g in front
-            )
-            front_cost /= max(len(front), 1)
-            extended_cost = 0.0
-            if extended:
-                extended_cost = sum(
-                    self.metric.distance(trial[g.qubits[0]], trial[g.qubits[1]])
-                    for g in extended
-                ) / len(extended)
-            # The bias charges the candidate SWAP its own edge cost (0.0 under
-            # the uniform metric, where it would cancel across candidates).
-            return float(
-                max(decay[a], decay[b])
-                * (
-                    front_cost
-                    + self.lookahead_weight * extended_cost
-                    + self.metric.swap_bias(a, b)
-                )
-            )
-
-        swaps = sorted(candidate_swaps)
-        scores = np.array([score(s) for s in swaps])
-        best = np.flatnonzero(scores <= scores.min() + 1e-12)
-        choice = int(best[self._rng.integers(len(best))]) if len(best) > 1 else int(best[0])
-        return swaps[choice]

@@ -29,25 +29,6 @@ from repro.weyl.entangling_power import is_perfect_entangler
 
 Coords = tuple[float, float, float]
 
-#: Module switch for the vectorized trajectory scan.  The batch predicates
-#: produce sample flags identical to the scalar ones (enforced by test), but
-#: benchmarks need the scalar reference path to measure the speedup.
-_BATCH_SCAN_ENABLED = True
-
-
-def set_batch_scan(enabled: bool) -> bool:
-    """Enable/disable the vectorized scan; returns the previous setting."""
-    global _BATCH_SCAN_ENABLED
-    previous = _BATCH_SCAN_ENABLED
-    _BATCH_SCAN_ENABLED = bool(enabled)
-    return previous
-
-
-def batch_scan_enabled() -> bool:
-    """Whether strategies use their vectorized predicates for the scan."""
-    return _BATCH_SCAN_ENABLED
-
-
 @dataclass(frozen=True)
 class BasisGateSelection:
     """The outcome of selecting a basis gate from a trajectory.
@@ -75,7 +56,8 @@ class SelectionStrategy:
 
     name = "base"
     #: True when :meth:`batch_predicate` implements a vectorized scan whose
-    #: sample flags match the scalar :meth:`predicate` exactly.
+    #: sample flags match the scalar :meth:`predicate` exactly.  Strategies
+    #: with one always scan batched; the others scan sample by sample.
     has_batch_predicate = False
 
     def predicate(self, coords: Coords) -> bool:
@@ -88,11 +70,7 @@ class SelectionStrategy:
 
     def select(self, trajectory: CartanTrajectory) -> BasisGateSelection:
         """Select the fastest gate on ``trajectory`` satisfying the predicate."""
-        batch = (
-            self.batch_predicate
-            if _BATCH_SCAN_ENABLED and self.has_batch_predicate
-            else None
-        )
+        batch = self.batch_predicate if self.has_batch_predicate else None
         duration = trajectory.first_duration_where(
             self.predicate, batch_predicate=batch
         )
@@ -118,7 +96,7 @@ class SelectionStrategy:
         trajectories = list(trajectories)
         if not trajectories:
             return []
-        if not (_BATCH_SCAN_ENABLED and self.has_batch_predicate):
+        if not self.has_batch_predicate:
             return [self.select(t) for t in trajectories]
         durations = _batched_first_durations(trajectories, self.batch_predicate)
         selections = []

@@ -207,7 +207,7 @@ class Device:
     def distance_matrix(self) -> np.ndarray:
         """The dense all-pairs BFS hop matrix (``-1`` marks unreachable).
 
-        Computed once and cached; the vectorized router and the
+        Computed once and cached; the router, layout and the
         shared-memory dispatch snapshots read it directly, so treat the
         returned array as read-only.
         """

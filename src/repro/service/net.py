@@ -20,9 +20,10 @@ Response lines::
 Malformed traffic (bad JSON, unknown ``op``, invalid request fields) is
 answered with ``ok: false`` and a client-readable message; the connection
 stays open.  A request line longer than the stream limit (64 KiB) is
-answered the same way, but then that connection closes: the rest of the
-line is still unread, so the framing is lost.  ``shutdown`` asks the server
-to stop accepting and drain.
+answered the same way, but then that connection closes, since the framing
+is lost: the server first reads and discards the rest of that line, so the
+close is a clean EOF rather than a reset.  ``shutdown`` asks the server to
+stop accepting and drain.
 """
 
 from __future__ import annotations
@@ -37,6 +38,26 @@ from repro.service.service import CompilationService
 #: Operations the wire protocol understands.
 OPS = ("compile", "calibrate", "metrics", "ping", "shutdown")
 
+#: How long the server keeps reading an oversize line's tail before it
+#: closes the connection anyway (seconds).
+OVERSIZE_DISCARD_S = 5.0
+
+
+async def _discard_line(reader: asyncio.StreamReader) -> None:
+    """Consume input through the next newline, or up to EOF.
+
+    Each read takes at most one stream limit's worth of buffered bytes, so
+    an arbitrarily long line never sits in memory whole.
+    """
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)
+        except asyncio.IncompleteReadError:
+            return
+
 
 async def serve_json_lines(
     reader: asyncio.StreamReader,
@@ -50,15 +71,20 @@ async def serve_json_lines(
     envelope, and stops after an envelope flagged ``shutdown``.  A line over
     the reader's limit gets an ``ok: false`` answer and then the connection
     closes, since the rest of that line cannot be told from the next
-    request.  ``connections`` tracks the live writers so the endpoint can
-    sever them on stop.
+    request.  Before closing, the rest of that line is read and dropped
+    (for at most :data:`OVERSIZE_DISCARD_S`): closing a socket with unread
+    input makes the kernel send a reset, which can destroy the answer
+    before the client reads it.  ``connections`` tracks the live writers so
+    the endpoint can sever them on stop.
     """
     connections.add(writer)
     try:
         while True:
             try:
-                line = await reader.readline()
-            except ValueError:  # line over the StreamReader limit
+                line = await reader.readuntil(b"\n")
+            except asyncio.IncompleteReadError as exc:
+                line = exc.partial  # EOF; the last line may lack its newline
+            except asyncio.LimitOverrunError:  # line over the reader's limit
                 envelope = {
                     "ok": False,
                     "error": "request line exceeds the 64 KiB limit; "
@@ -66,6 +92,10 @@ async def serve_json_lines(
                 }
                 writer.write((json.dumps(envelope) + "\n").encode("utf-8"))
                 await writer.drain()
+                try:
+                    await asyncio.wait_for(_discard_line(reader), OVERSIZE_DISCARD_S)
+                except asyncio.TimeoutError:
+                    pass  # a client still streaming: close regardless
                 return
             if not line:
                 return

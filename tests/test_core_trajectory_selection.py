@@ -12,6 +12,8 @@ from repro.core import (
     PredicateStrategy,
     select_basis_gate,
 )
+from repro.compiler import build_target
+from repro.compiler.pipeline.registry import get_strategy
 from repro.core.basis_selection import _cnot_layer_count, available_strategies
 from repro.core.regions import (
     cnot2_feasible_volume_fraction,
@@ -21,6 +23,7 @@ from repro.core.regions import (
     swap2_segments,
     swap3_feasible_volume_fraction,
 )
+from repro.fleet import TopologySpec, make_device
 from repro.hamiltonian.effective import EffectiveEntanglerModel
 from repro.synthesis.depth import (
     TwoLayerOracle,
@@ -180,6 +183,36 @@ class TestSelectionStrategies:
 
     def test_available_strategies_listed(self):
         assert set(available_strategies()) >= {"baseline", "criterion1", "criterion2"}
+
+
+class TestDeviceScanIdentity:
+    """A device's target build scans trajectories batched (one mask call
+    across all edges, bisection in lockstep) and simulates edges on worker
+    threads; neither may change a selection."""
+
+    SEEDS = (1000, 1003)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("strategy", ("baseline", "criterion1", "criterion2"))
+    def test_batched_scan_equals_the_scalar_scan(self, strategy, seed):
+        device = make_device(TopologySpec.parse("grid:3x3"), seed)
+        amplitude = device.amplitude_for_strategy(strategy)
+        trajectories = [
+            device.calibration(edge, amplitude).trajectory for edge in device.edges()
+        ]
+        strategy_obj = get_strategy(strategy)
+        assert strategy_obj.has_batch_predicate
+        batched = [s.duration for s in strategy_obj.select_batch(trajectories)]
+        scalar = [t.first_duration_where(strategy_obj.predicate) for t in trajectories]
+        assert batched == scalar
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_threaded_build_equals_the_serial_build(self, seed):
+        def build(max_workers):
+            device = make_device(TopologySpec.parse("grid:3x3"), seed)
+            return build_target(device, "criterion2").complete(max_workers=max_workers)
+
+        assert build(1) == build(4)
 
 
 class TestRegionSummaries:

@@ -28,6 +28,7 @@ from repro.compiler import (
     BasisAwareMetric,
     CostModel,
     HopCountMetric,
+    MappingMetric,
     PassManager,
     SabreRouter,
     available_mapping_names,
@@ -35,6 +36,7 @@ from repro.compiler import (
     build_target,
     compare_strategies,
     get_mapping_spec,
+    greedy_subgraph_layout,
     register_mapping,
     sabre_layout,
     transpile,
@@ -56,10 +58,15 @@ STRATEGIES = ("baseline", "criterion1", "criterion2")
 # --------------------------------------------------------------------------
 
 
-def _seed_greedy_layout(circuit, device, seed=0):
-    """Verbatim copy of the seed greedy_subgraph_layout (uniform hops)."""
+def _seed_greedy_layout(circuit, device, seed=0, metric=None):
+    """Verbatim copy of the seed greedy_subgraph_layout (uniform hops).
+
+    ``metric`` swaps the hop count for any metric's scalar ``distance``,
+    as for ``_SeedRouter`` below.
+    """
     from repro.compiler.layout import interaction_graph
 
+    distance = (metric if metric is not None else HopCountMetric(device)).distance
     rng = np.random.default_rng(seed)
     graph = interaction_graph(circuit)
     order = sorted(
@@ -69,7 +76,7 @@ def _seed_greedy_layout(circuit, device, seed=0):
     )
     best_qubit, best_ecc = 0, None
     for q in range(device.n_qubits):
-        ecc = max(device.distance(q, other) for other in range(device.n_qubits))
+        ecc = max(distance(q, other) for other in range(device.n_qubits))
         if best_ecc is None or ecc < best_ecc:
             best_qubit, best_ecc = q, ecc
     center = best_qubit
@@ -82,10 +89,10 @@ def _seed_greedy_layout(circuit, device, seed=0):
             if other in layout
         ]
         if not placed:
-            choice = sorted(free, key=lambda p: device.distance(p, center))[0]
+            choice = sorted(free, key=lambda p: distance(p, center))[0]
         else:
             def cost(p):
-                return sum(w * device.distance(p, layout[o]) for o, w in placed)
+                return sum(w * distance(p, layout[o]) for o, w in placed)
 
             best_cost = min(cost(p) for p in free)
             best = [p for p in free if cost(p) <= best_cost + 1e-9]
@@ -94,26 +101,33 @@ def _seed_greedy_layout(circuit, device, seed=0):
         free.discard(choice)
     for logical in range(circuit.n_qubits):
         if logical not in layout:
-            candidates = sorted(free, key=lambda p: device.distance(p, center))
+            candidates = sorted(free, key=lambda p: distance(p, center))
             layout[logical] = candidates[0]
             free.discard(candidates[0])
     return layout
 
 
 class _SeedRouter:
-    """Frozen copy of the seed SabreRouter (uniform hop-count heuristic).
+    """Frozen copy of the seed SabreRouter: the golden SABRE reference.
 
-    Re-pinned in PR 7: the seed's extended look-ahead set included the
+    Re-pinned once: the seed's extended look-ahead set included the
     front-layer gates themselves, double-counting the front term contrary
     to SABRE (the extended set is the successors *beyond* the front).  The
     frozen copy now carries the corrected semantics so the golden test pins
     the fixed algorithm.  ``extended_skips_front=False`` reproduces the
     pre-fix behaviour for the regression test below.
+
+    ``metric`` swaps the uniform hop count for any
+    :class:`~repro.compiler.cost.MappingMetric`: scores read its scalar
+    ``distance`` and add its ``swap_bias``, so the same dict-based loop is
+    the reference for every metric the array-based ``SabreRouter`` serves.
     """
 
     def __init__(self, device, lookahead_size=20, lookahead_weight=0.5,
-                 decay_increment=0.001, seed=17, extended_skips_front=True):
+                 decay_increment=0.001, seed=17, extended_skips_front=True,
+                 metric=None):
         self.device = device
+        self.metric = metric if metric is not None else HopCountMetric(device)
         self.lookahead_size = lookahead_size
         self.lookahead_weight = lookahead_weight
         self.decay_increment = decay_increment
@@ -201,19 +215,23 @@ class _SeedRouter:
                 if lb is not None:
                     trial[lb] = a
                 front_cost = sum(
-                    self.device.distance(trial[g.qubits[0]], trial[g.qubits[1]])
+                    self.metric.distance(trial[g.qubits[0]], trial[g.qubits[1]])
                     for g in front
                 )
                 front_cost /= max(len(front), 1)
                 extended_cost = 0.0
                 if extended:
                     extended_cost = sum(
-                        self.device.distance(trial[g.qubits[0]], trial[g.qubits[1]])
+                        self.metric.distance(trial[g.qubits[0]], trial[g.qubits[1]])
                         for g in extended
                     ) / len(extended)
                 return float(
                     max(decay[a], decay[b])
-                    * (front_cost + self.lookahead_weight * extended_cost)
+                    * (
+                        front_cost
+                        + self.lookahead_weight * extended_cost
+                        + self.metric.swap_bias(a, b)
+                    )
                 )
 
             swaps = sorted(candidate_swaps)
@@ -312,13 +330,12 @@ class TestExtendedSetRegression:
         # biases swap scores enough to change the chosen layout.
         assert corrected_layout != buggy_layout
 
-        for vectorized in (True, False):
-            router = SabreRouter(small_device, seed=17, vectorized=vectorized)
-            layout = sabre_layout(
-                circuit, small_device, router=router, iterations=1, seed=17
-            )
-            assert layout == corrected_layout
-            assert layout != buggy_layout
+        router = SabreRouter(small_device, seed=17)
+        layout = sabre_layout(
+            circuit, small_device, router=router, iterations=1, seed=17
+        )
+        assert layout == corrected_layout
+        assert layout != buggy_layout
 
     def test_routed_streams_diverge_from_buggy_reference(self, small_device):
         """Same layout, same RNG state: only the extended-set semantics
@@ -335,18 +352,28 @@ class TestExtendedSetRegression:
         ).run(circuit, dict(layout))
         assert _gate_stream(routed_good) != _gate_stream(routed_bad)
 
-        for vectorized in (True, False):
-            result = SabreRouter(small_device, seed=0, vectorized=vectorized).run(
-                circuit, layout
-            )
-            assert _gate_stream(result.circuit) == _gate_stream(routed_good)
-            assert _gate_stream(result.circuit) != _gate_stream(routed_bad)
+        result = SabreRouter(small_device, seed=0).run(circuit, layout)
+        assert _gate_stream(result.circuit) == _gate_stream(routed_good)
+        assert _gate_stream(result.circuit) != _gate_stream(routed_bad)
+
+
+class _SkewedHops(MappingMetric):
+    """A float metric defined only through the scalar methods: hop counts
+    scaled per pair, plus a per-edge SWAP bias."""
+
+    name = "skewed_hops_test"
+
+    def distance(self, a, b):
+        return self.device.distance(a, b) * (1.0 + 0.1 * ((a * b) % 3))
+
+    def swap_bias(self, a, b):
+        return 0.05 * ((a + b) % 4)
 
 
 class TestVectorizedReferenceIdentity:
-    """Golden byte-identity harness: the vectorized engine must match the
-    scalar reference engine gate-by-gate across topologies, seeds, and
-    mapping metrics."""
+    """Golden byte-identity harness: the array-based router must match the
+    frozen dict-based reference (``_SeedRouter``) gate-by-gate across
+    topologies, seeds, and mapping metrics."""
 
     TOPOLOGIES = (
         ("grid", lambda: Device.from_parameters(DeviceParameters(rows=3, cols=3, seed=53))),
@@ -358,36 +385,79 @@ class TestVectorizedReferenceIdentity:
     @pytest.mark.parametrize(
         "topology,factory", TOPOLOGIES, ids=[t[0] for t in TOPOLOGIES]
     )
-    @pytest.mark.parametrize("mapping", ("hop_count", "basis_aware"))
+    @pytest.mark.parametrize("mapping", ("hop_count", "basis_aware", "skewed_hops"))
     def test_vectorized_matches_reference_gate_by_gate(
         self, topology, factory, seed, mapping
     ):
+        """``skewed_hops`` is a custom metric defined only through the
+        scalar ``distance`` and ``swap_bias``; the base class builds the
+        dense matrices the router reads."""
         device = factory()
-        metric = build_metric(
-            mapping,
-            device,
-            cost_model=(
-                build_target(device, "criterion2").cost_model()
-                if get_mapping_spec(mapping).requires_cost_model
-                else None
-            ),
-        )
+        if mapping == "skewed_hops":
+            metric = _SkewedHops(device)
+        else:
+            metric = build_metric(
+                mapping,
+                device,
+                cost_model=(
+                    build_target(device, "criterion2").cost_model()
+                    if get_mapping_spec(mapping).requires_cost_model
+                    else None
+                ),
+            )
         for circuit in (qft_circuit(5), cuccaro_adder(6), qaoa_circuit(6, 0.5, seed=3)):
-            vec = SabreRouter(device, seed=seed, metric=metric, vectorized=True)
-            ref = SabreRouter(device, seed=seed, metric=metric, vectorized=False)
             layout = sabre_layout(circuit, device, iterations=1, seed=seed)
-            got = vec.run(circuit, layout)
-            expected = ref.run(circuit, layout)
-            assert _gate_stream(got.circuit) == _gate_stream(expected.circuit)
-            assert got.final_layout == expected.final_layout
-            assert got.swap_count == expected.swap_count
-            assert got.initial_layout == expected.initial_layout
+            got = SabreRouter(device, seed=seed, metric=metric).run(circuit, layout)
+            routed, final_layout, swaps = _SeedRouter(
+                device, seed=seed, metric=metric
+            ).run(circuit, layout)
+            assert _gate_stream(got.circuit) == _gate_stream(routed)
+            assert got.final_layout == final_layout
+            assert got.swap_count == swaps
+            assert got.initial_layout == layout
+            assert greedy_subgraph_layout(
+                circuit, device, seed=seed, metric=metric
+            ) == _seed_greedy_layout(circuit, device, seed=seed, metric=metric)
 
-    def test_vectorized_engine_is_actually_engaged(self, small_device):
-        """Guard against the fast path silently falling back to reference."""
-        router = SabreRouter(small_device, seed=17)
-        dist, _bias = router._resolve_matrices()
-        assert dist is not None
+
+class TestDisconnectedDevice:
+    """Two coupling components: routing raises only when it must score a
+    pair across them, and layout (which compares every pair) raises up
+    front."""
+
+    @pytest.fixture(scope="class")
+    def device(self):
+        import networkx as nx
+
+        graph = nx.Graph([(0, 1), (1, 2), (3, 4)])
+        return Device(graph=graph, params=DeviceParameters(seed=5))
+
+    @staticmethod
+    def _route(device, pairs, n_qubits):
+        circuit = QuantumCircuit(n_qubits)
+        for a, b in pairs:
+            circuit.cx(a, b)
+        identity = {q: q for q in range(n_qubits)}
+        return SabreRouter(device, seed=17).run(circuit, identity)
+
+    def test_adjacent_gates_route_without_swaps(self, device):
+        result = self._route(device, [(0, 1), (1, 2), (3, 4)], 5)
+        assert result.swap_count == 0
+        assert _gate_stream(result.circuit) == [
+            ("cx", (0, 1), ()),
+            ("cx", (1, 2), ()),
+            ("cx", (3, 4), ()),
+        ]
+
+    def test_in_component_gate_routes_with_one_swap(self, device):
+        result = self._route(device, [(0, 2)], 3)
+        assert result.swap_count == 1
+
+    def test_cross_component_gate_raises(self, device):
+        with pytest.raises(ValueError, match="not connected"):
+            self._route(device, [(0, 3)], 4)
+        with pytest.raises(ValueError, match="not connected"):
+            sabre_layout(ghz_circuit(3), device, seed=17)
 
 
 class TestRoutingDeterminism:
@@ -767,19 +837,28 @@ class TestCachePersistsCostModels:
         assert loaded.cost_model().edge_costs == expected.edge_costs
 
     def test_entry_without_cost_model_is_a_miss(self, tmp_path):
-        """Pre-v2 entries (no cost_model payload) must be rebuilt, not
+        """Entries without a cost_model payload (pre-v2), or with a cost row
+        lacking basis_coordinates (pre-v3), must be rebuilt, not
         half-loaded."""
+
+        def drop_payload(data):
+            del data["cost_model"]
+
+        def drop_coordinates(data):
+            del data["cost_model"]["edge_costs"][0]["basis_coordinates"]
+
         device = Device.from_parameters(DeviceParameters(rows=1, cols=4, seed=53))
-        cache = ContentStore(TARGET_CODEC, 4, tmp_path)
-        get_target(cache, device, "criterion2")
-        [entry] = cache.entries()
-        data = json.loads(entry.read_text())
-        del data["cost_model"]
-        entry.write_text(json.dumps(data))
-        fresh = ContentStore(TARGET_CODEC, 4, tmp_path)
-        rebuilt, source = get_target(fresh, device, "criterion2")
-        assert source == "built" and fresh.stats.disk_hits == 0
-        assert getattr(rebuilt, "_cost_model", None) is not None
+        for corrupt in (drop_payload, drop_coordinates):
+            cache = ContentStore(TARGET_CODEC, 4, tmp_path)
+            get_target(cache, device, "criterion2")
+            [entry] = cache.entries()
+            data = json.loads(entry.read_text())
+            corrupt(data)
+            entry.write_text(json.dumps(data))
+            fresh = ContentStore(TARGET_CODEC, 4, tmp_path)
+            rebuilt, source = get_target(fresh, device, "criterion2")
+            assert source == "built" and fresh.stats.disk_hits == 0
+            assert getattr(rebuilt, "_cost_model", None) is not None
 
 
 #: Heavy-hex fleet slice exercising both mappings (the PR acceptance cell).
